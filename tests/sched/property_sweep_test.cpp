@@ -13,59 +13,12 @@
 #include "sched/round_robin.h"
 #include "sched/scheduler.h"
 #include "sched/traffic_aware.h"
-#include "sim/rng.h"
+#include "sweep_inputs.h"
 
 namespace tstorm::sched {
 namespace {
 
-struct SweepCase {
-  std::string algorithm;
-  int nodes;
-  int slots_per_node;
-  int topologies;
-  int executors_per_topology;
-  std::uint64_t seed;
-};
-
-void PrintTo(const SweepCase& c, std::ostream* os) {
-  *os << c.algorithm << "/n" << c.nodes << "s" << c.slots_per_node << "t"
-      << c.topologies << "e" << c.executors_per_topology << "seed" << c.seed;
-}
-
 class AlgorithmSweep : public ::testing::TestWithParam<SweepCase> {};
-
-SchedulerInput build_input(const SweepCase& c) {
-  SchedulerInput in;
-  sim::Rng rng(c.seed);
-  for (int n = 0; n < c.nodes; ++n) {
-    for (int p = 0; p < c.slots_per_node; ++p) {
-      in.slots.push_back({n * c.slots_per_node + p, n, p});
-    }
-    in.nodes.push_back({n, {8000.0}});
-  }
-  int task = 0;
-  for (int t = 0; t < c.topologies; ++t) {
-    in.topologies.push_back(
-        {t, static_cast<int>(rng.uniform_int(1, c.nodes * 2))});
-    const int first = task;
-    for (int e = 0; e < c.executors_per_topology; ++e) {
-      in.executors.push_back({task++, t, {rng.uniform(1.0, 80.0)}});
-    }
-    // Random intra-topology traffic + chain edges.
-    for (int e = first; e < task - 1; ++e) {
-      in.traffic.push_back({e, e + 1, rng.uniform(1.0, 200.0)});
-      in.topology_edges.emplace_back(e, e + 1);
-    }
-    for (int k = 0; k < c.executors_per_topology; ++k) {
-      const auto a =
-          static_cast<TaskId>(rng.uniform_int(first, task - 1));
-      const auto b =
-          static_cast<TaskId>(rng.uniform_int(first, task - 1));
-      if (a != b) in.traffic.push_back({a, b, rng.uniform(0.1, 100.0)});
-    }
-  }
-  return in;
-}
 
 TEST_P(AlgorithmSweep, StructuralInvariants) {
   const auto& c = GetParam();
@@ -102,22 +55,6 @@ TEST_P(AlgorithmSweep, StructuralInvariants) {
   // Determinism: same input, same output.
   auto alg2 = AlgorithmRegistry::instance().create(c.algorithm);
   EXPECT_EQ(alg2->schedule(build_input(c)).assignment, r.assignment);
-}
-
-std::vector<SweepCase> make_cases() {
-  std::vector<SweepCase> cases;
-  std::uint64_t seed = 1;
-  for (const char* alg : {"traffic-aware", "round-robin", "tstorm-initial",
-                          "aniello-offline", "aniello-online", "local-search",
-                          "rstorm"}) {
-    for (const auto& [nodes, spn, topos, execs] :
-         {std::tuple{1, 1, 1, 1}, {1, 4, 1, 9}, {3, 2, 2, 5},
-          {10, 4, 1, 45}, {10, 4, 3, 12}, {16, 8, 4, 25},
-          {2, 2, 3, 2}}) {
-      cases.push_back({alg, nodes, spn, topos, execs, seed++});
-    }
-  }
-  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmSweep,
