@@ -2,11 +2,14 @@
 //
 // Section IV-C claims Algorithm 1 runs in O(Ne log Ne + Ne * Ns). These
 // benchmarks sweep executor count Ne and slot count Ns to verify the
-// scaling empirically, and compare against the baseline schedulers.
+// scaling empirically, and compare against the local-search refinement,
+// R-Storm and the baseline schedulers.
 #include <benchmark/benchmark.h>
 
 #include "sched/aniello.h"
+#include "sched/local_search.h"
 #include "sched/round_robin.h"
+#include "sched/rstorm.h"
 #include "sched/traffic_aware.h"
 #include "sim/rng.h"
 
@@ -52,6 +55,28 @@ void BM_TrafficAware(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
+void BM_LocalSearch(benchmark::State& state) {
+  const auto in = make_input(static_cast<int>(state.range(0)),
+                             static_cast<int>(state.range(1)), 4);
+  sched::LocalSearchScheduler alg;
+  for (auto _ : state) {
+    auto r = alg.schedule(in);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetComplexityN(state.range(0));
+}
+
+void BM_RStorm(benchmark::State& state) {
+  const auto in = make_input(static_cast<int>(state.range(0)),
+                             static_cast<int>(state.range(1)), 4);
+  sched::RStormScheduler alg;
+  for (auto _ : state) {
+    auto r = alg.schedule(in);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetComplexityN(state.range(0));
+}
+
 void BM_RoundRobin(benchmark::State& state) {
   const auto in = make_input(static_cast<int>(state.range(0)),
                              static_cast<int>(state.range(1)), 4);
@@ -90,6 +115,20 @@ BENCHMARK(BM_TrafficAware)
     ->Args({200, 20})
     ->Args({200, 40})
     ->Args({200, 80});
+
+// Same Ne sweep for the traffic-driven refinement and R-Storm.
+BENCHMARK(BM_LocalSearch)
+    ->Args({45, 10})
+    ->Args({90, 10})
+    ->Args({180, 10})
+    ->Args({360, 10})
+    ->Args({720, 10});
+BENCHMARK(BM_RStorm)
+    ->Args({45, 10})
+    ->Args({90, 10})
+    ->Args({180, 10})
+    ->Args({360, 10})
+    ->Args({720, 10});
 
 BENCHMARK(BM_RoundRobin)->Args({45, 10})->Args({360, 10})->Args({720, 10});
 BENCHMARK(BM_AnielloOnline)->Args({45, 10})->Args({360, 10});

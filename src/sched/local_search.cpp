@@ -1,226 +1,175 @@
 #include "sched/local_search.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <initializer_list>
+#include <vector>
 
+#include "sched/index.h"
 #include "sched/traffic_aware.h"
 
 namespace tstorm::sched {
-namespace {
-
-struct State {
-  // Inputs, indexed for O(1) access.
-  std::unordered_map<TaskId, const ExecutorSpec*> executors;
-  std::unordered_map<TaskId, std::vector<std::pair<TaskId, double>>> adj;
-  std::unordered_map<SlotIndex, NodeId> slot_node;
-  std::unordered_map<NodeId, std::vector<SlotIndex>> node_slots;
-  std::unordered_set<SlotIndex> blocked;
-
-  // Mutable placement state.
-  Placement placement;
-  std::unordered_map<SlotIndex, TopologyId> slot_owner;  // -1 none
-  std::unordered_map<SlotIndex, int> slot_count;
-  std::unordered_map<NodeId, ResourceVector> node_used;
-  std::unordered_map<NodeId, int> node_count;
-  /// Queue-pressure weight used for effective demands (from the input).
-  double qw = 0;
-  // (topology, node) -> slot used there.
-  std::unordered_map<long long, SlotIndex> topo_slot;
-
-  static long long key(TopologyId t, NodeId n) {
-    return (static_cast<long long>(t) << 32) |
-           static_cast<unsigned int>(n);
-  }
-
-  /// Traffic between executor e and executors currently on `node`
-  /// (excluding e itself).
-  double local_traffic(TaskId e, NodeId node) const {
-    double total = 0;
-    auto it = adj.find(e);
-    if (it == adj.end()) return 0;
-    for (const auto& [peer, rate] : it->second) {
-      if (peer == e) continue;
-      auto p = placement.find(peer);
-      if (p == placement.end()) continue;
-      if (slot_node.at(p->second) == node) total += rate;
-    }
-    return total;
-  }
-
-  ResourceVector demand(TaskId e) const {
-    return executors.at(e)->effective_demand(qw);
-  }
-
-  void remove(TaskId e) {
-    const SlotIndex slot = placement.at(e);
-    const NodeId node = slot_node.at(slot);
-    const TopologyId topo = executors.at(e)->topology;
-    placement.erase(e);
-    const ResourceVector d = demand(e);
-    auto& used = node_used[node];
-    for (std::size_t i = 0; i < kResourceDims; ++i) used[i] -= d[i];
-    node_count[node] -= 1;
-    if (--slot_count[slot] == 0) {
-      slot_owner.erase(slot);
-      topo_slot.erase(key(topo, node));
-    }
-  }
-
-  void place(TaskId e, SlotIndex slot) {
-    const NodeId node = slot_node.at(slot);
-    const TopologyId topo = executors.at(e)->topology;
-    placement[e] = slot;
-    node_used[node] = resource_add(node_used[node], demand(e));
-    node_count[node] += 1;
-    slot_count[slot] += 1;
-    slot_owner[slot] = topo;
-    topo_slot[key(topo, node)] = slot;
-  }
-};
-
-}  // namespace
 
 ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
+  SchedulerIndex ix(in, in.queue_pressure_weight);
   // Seed with Algorithm 1.
-  TrafficAwareScheduler greedy;
-  ScheduleResult result = greedy.schedule(in);
+  ScheduleResult result = TrafficAwareScheduler().place(ix, in);
   if (result.assignment.size() != in.executors.size()) return result;
 
-  State st;
-  st.qw = in.queue_pressure_weight;
-  for (const auto& e : in.executors) {
-    st.executors.emplace(e.task, &e);
-    st.adj[e.task];
+  // Node loads are summed in the seed result's iteration order: a capacity
+  // check at a node's exact limit can depend on the order of the sum, and
+  // the recorded placements (placement_golden_test) use this one. `seeded`
+  // keeps the order for writing the result back.
+  ix.reset();
+  std::vector<int> seeded;
+  seeded.reserve(result.assignment.size());
+  for (const auto& [task, slot] : result.assignment) {
+    seeded.push_back(ix.exec_of.at(task));
+    ix.place(seeded.back(), ix.slot_of.at(slot));
   }
-  for (const auto& t : in.traffic) {
-    if (t.rate <= 0) continue;
-    if (!st.executors.contains(t.src) || !st.executors.contains(t.dst)) {
-      continue;
+
+  const int ne = ix.executors();
+  const int nodes = static_cast<int>(ix.node_id.size());
+  // w[e * nodes + n]: traffic between executor e and the executors on node
+  // n, e itself excluded. A cell is always a fresh sum along e's adjacency
+  // list, never an increment, so it is bit-equal to summing the input.
+  std::vector<double> w(static_cast<std::size_t>(ne) * nodes, 0.0);
+  for (int e = 0; e < ne; ++e) {
+    for (const auto& [peer, rate] : ix.adj(e)) {
+      if (peer != e) w[e * nodes + ix.exec_node[peer]] += rate;
     }
-    st.adj[t.src].emplace_back(t.dst, t.rate);
-    st.adj[t.dst].emplace_back(t.src, t.rate);
   }
-  for (const auto& s : in.slots) {
-    st.slot_node.emplace(s.slot, s.node);
-    st.node_slots[s.node].push_back(s.slot);
-  }
-  st.blocked = occupied_slot_set(in);
-  st.placement = result.assignment;
-  for (const auto& [task, slot] : st.placement) {
-    const NodeId node = st.slot_node.at(slot);
-    const TopologyId topo = st.executors.at(task)->topology;
-    st.node_used[node] =
-        resource_add(st.node_used[node], st.demand(task));
-    st.node_count[node] += 1;
-    st.slot_count[slot] += 1;
-    st.slot_owner[slot] = topo;
-    st.topo_slot[State::key(topo, node)] = slot;
-  }
-
-  const double ne = static_cast<double>(in.executors.size());
-  const double kk = static_cast<double>(st.node_slots.size());
-  const int count_limit = std::max(
-      1, static_cast<int>(std::ceil(in.gamma * ne / std::max(1.0, kk) -
-                                    1e-9)));
-
-  for (int pass = 0; pass < options_.max_passes; ++pass) {
-    double pass_gain = 0;
-    for (const auto& e : in.executors) {
-      const SlotIndex cur_slot = st.placement.at(e.task);
-      const NodeId cur_node = st.slot_node.at(cur_slot);
-      const double cur_local = st.local_traffic(e.task, cur_node);
-
-      // Find the best alternative node.
-      NodeId best_node = -1;
-      SlotIndex best_slot = kUnassigned;
-      double best_gain = 0;
-      for (const auto& [node, slots] : st.node_slots) {
-        if (node == cur_node) continue;
-        // Feasible slot on this node for e's topology.
-        SlotIndex target = kUnassigned;
-        auto lock = st.topo_slot.find(State::key(e.topology, node));
-        if (lock != st.topo_slot.end()) {
-          target = lock->second;
-        } else {
-          for (SlotIndex s : slots) {
-            if (st.blocked.contains(s)) continue;
-            if (!st.slot_owner.contains(s)) {
-              target = s;
-              break;
-            }
+  // After executors moved between nodes a and b, only the a and b cells of
+  // their neighbours' rows change.
+  std::vector<int> stamp(ne, -1);
+  int round = 0;
+  const auto refresh_neighbours = [&](std::initializer_list<int> moved, int a,
+                                      int b) {
+    ++round;
+    for (int m : moved) {
+      for (const auto& [y, unused] : ix.adj(m)) {
+        if (stamp[y] == round) continue;
+        stamp[y] = round;
+        double wa = 0;
+        double wb = 0;
+        for (const auto& [peer, rate] : ix.adj(y)) {
+          if (peer == y) continue;
+          const int n = ix.exec_node[peer];
+          if (n == a) {
+            wa += rate;
+          } else if (n == b) {
+            wb += rate;
           }
         }
-        if (target == kUnassigned) continue;
-        if (!resource_fits(st.node_used[node], st.demand(e.task),
-                           in.node_capacity(node))) {
+        w[y * nodes + a] = wa;
+        w[y * nodes + b] = wb;
+      }
+    }
+  };
+  // The slot topology t would use on node n: its locked slot, else the
+  // node's first free slot.
+  const auto target_slot = [&](int n, int t) {
+    if (ix.lock(n, t) >= 0) return ix.lock(n, t);
+    for (int s : ix.node_slots[n]) {
+      if (ix.blocked[s] == 0 && ix.slot_owner[s] == -1) return s;
+    }
+    return -1;
+  };
+  // Executors of each topology in input order, for the swap pass.
+  std::vector<std::vector<int>> same_topology(ix.topologies);
+  std::vector<int> rank(ne);
+  for (int e = 0; e < ne; ++e) {
+    rank[e] = static_cast<int>(same_topology[ix.topo[e]].size());
+    same_topology[ix.topo[e]].push_back(e);
+  }
+
+  const int count_limit = ix.count_limit(in);
+  for (int pass = 0; pass < options_.max_passes; ++pass) {
+    double pass_gain = 0;
+    for (int e = 0; e < ne; ++e) {
+      const int cur = ix.exec_node[e];
+      const double* we = &w[e * nodes];
+      const double cur_local = we[cur];
+
+      // Find the best alternative node; the first one visited wins ties.
+      int best_node = -1;
+      int best_slot = -1;
+      double best_gain = 0;
+      for (int n = 0; n < nodes; ++n) {
+        if (n == cur) continue;
+        const double gain = we[n] - cur_local;
+        if (!(gain > best_gain + 1e-12)) continue;
+        const int target = target_slot(n, ix.topo[e]);
+        if (target < 0) continue;
+        if (!resource_fits(ix.used[n], ix.demand[e], ix.capacity[n])) {
           continue;
         }
-        if (st.node_count[node] + 1 > count_limit) continue;
-        const double gain =
-            st.local_traffic(e.task, node) - cur_local;
-        if (gain > best_gain + 1e-12) {
-          best_gain = gain;
-          best_node = node;
-          best_slot = target;
-        }
+        if (ix.count[n] + 1 > count_limit) continue;
+        best_gain = gain;
+        best_node = n;
+        best_slot = target;
       }
       if (best_node >= 0) {
-        st.remove(e.task);
-        // Re-resolve the target slot: removing e may have freed its old
-        // slot but cannot invalidate the chosen one.
-        st.place(e.task, best_slot);
+        // Removing e may free its old slot but cannot take the chosen one.
+        ix.remove(e);
+        ix.place(e, best_slot);
         pass_gain += best_gain;
+        refresh_neighbours({e}, cur, best_node);
       }
     }
 
     // Swap pass: when nodes sit at the count limit, single moves are
     // infeasible but exchanging two same-topology executors is not.
-    for (std::size_t i = 0; i < in.executors.size(); ++i) {
-      const auto& e = in.executors[i];
-      for (std::size_t j = i + 1; j < in.executors.size(); ++j) {
-        const auto& f = in.executors[j];
-        if (e.topology != f.topology) continue;
-        const SlotIndex se = st.placement.at(e.task);
-        const SlotIndex sf = st.placement.at(f.task);
-        const NodeId na = st.slot_node.at(se);
-        const NodeId nb = st.slot_node.at(sf);
+    for (int e = 0; e < ne; ++e) {
+      const auto& peers = same_topology[ix.topo[e]];
+      for (std::size_t k = rank[e] + 1; k < peers.size(); ++k) {
+        const int f = peers[k];
+        const int se = ix.exec_slot[e];
+        const int sf = ix.exec_slot[f];
+        const int na = ix.slot_node[se];
+        const int nb = ix.slot_node[sf];
         if (na == nb) continue;
-        // Direct traffic between the pair stays inter-node either way.
+        const double* we = &w[e * nodes];
+        const double* wf = &w[f * nodes];
+        // The direct traffic r_ef between the pair stays inter-node either
+        // way and only lowers the gain, so it is summed only when the
+        // gain without it clears the threshold.
+        const double pre_gain = we[nb] + wf[na] - we[na] - wf[nb];
+        if (pre_gain <= 1e-9) continue;
         double r_ef = 0;
-        for (const auto& [peer, rate] : st.adj.at(e.task)) {
-          if (peer == f.task) r_ef += rate;
+        for (const auto& [peer, rate] : ix.adj(e)) {
+          if (peer == f) r_ef += rate;
         }
-        const double gain = st.local_traffic(e.task, nb) +
-                            st.local_traffic(f.task, na) -
-                            st.local_traffic(e.task, na) -
-                            st.local_traffic(f.task, nb) - 2.0 * r_ef;
+        const double gain = pre_gain - 2.0 * r_ef;
         if (gain <= 1e-9) continue;
         // Capacity after the exchange (counts are unchanged).
-        const ResourceVector de = st.demand(e.task);
-        const ResourceVector df = st.demand(f.task);
-        const auto swap_fits = [&](NodeId n, const ResourceVector& out,
-                                   const ResourceVector& inc) {
-          ResourceVector used = st.node_used[n];
-          for (std::size_t d = 0; d < kResourceDims; ++d) used[d] -= out[d];
-          return resource_fits(used, inc, in.node_capacity(n));
+        const auto swap_fits = [&](int n, int out, int inc) {
+          ResourceVector used = ix.used[n];
+          for (std::size_t d = 0; d < kResourceDims; ++d) {
+            used[d] -= ix.demand[out][d];
+          }
+          return resource_fits(used, ix.demand[inc], ix.capacity[n]);
         };
-        if (!swap_fits(na, de, df) || !swap_fits(nb, df, de)) continue;
-        st.remove(e.task);
-        st.remove(f.task);
-        st.place(e.task, sf);
-        st.place(f.task, se);
+        if (!swap_fits(na, e, f) || !swap_fits(nb, f, e)) continue;
+        ix.remove(e);
+        ix.remove(f);
+        ix.place(e, sf);
+        ix.place(f, se);
         pass_gain += gain;
+        refresh_neighbours({e, f}, na, nb);
       }
     }
 
-    const double total = internode_traffic(in, st.placement);
+    double total = 0;  // internode_traffic() of the current placement
+    for (const auto& edge : ix.edges) {
+      if (ix.exec_node[edge.src] != ix.exec_node[edge.dst]) total += edge.rate;
+    }
     if (pass_gain <= options_.min_gain * std::max(1.0, total)) break;
   }
 
-  result.assignment = st.placement;
+  auto next = seeded.begin();
+  for (auto& [task, slot] : result.assignment) {
+    slot = ix.slot_id[ix.exec_slot[*next++]];
+  }
   return result;
 }
 

@@ -1,110 +1,66 @@
 #include "sched/traffic_aware.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <numeric>
+
+#include "sched/index.h"
 
 namespace tstorm::sched {
-namespace {
-
-struct NodeState {
-  /// Resources already committed on this node (CPU dim carries effective
-  /// load, i.e. includes queue pressure when enabled).
-  ResourceVector used{};
-  int count = 0;
-  /// topology -> slot locked for it on this node (constraint 1).
-  std::unordered_map<TopologyId, SlotIndex> topo_slot;
-};
-
-struct SlotState {
-  NodeId node = -1;
-  /// Topology owning this slot, or -1 if free. A slot hosts one worker, a
-  /// worker belongs to one topology.
-  TopologyId owner = -1;
-  bool blocked = false;  // occupied by a topology outside this run
-};
-
-}  // namespace
 
 ScheduleResult TrafficAwareScheduler::schedule(const SchedulerInput& in) {
-  ScheduleResult result;
-  if (in.executors.empty()) return result;
-
-  // --- Build adjacency (incoming + outgoing rates per executor). ---
-  std::unordered_map<TaskId, std::vector<std::pair<TaskId, double>>> adj;
-  std::unordered_map<TaskId, double> total_traffic;
-  adj.reserve(in.executors.size());
-  for (const auto& e : in.executors) {
-    adj[e.task];
-    total_traffic[e.task] = 0;
-  }
-  for (const auto& t : in.traffic) {
-    if (t.rate <= 0) continue;
-    if (!adj.contains(t.src) || !adj.contains(t.dst)) continue;
-    adj[t.src].emplace_back(t.dst, t.rate);
-    adj[t.dst].emplace_back(t.src, t.rate);
-    total_traffic[t.src] += t.rate;
-    total_traffic[t.dst] += t.rate;
-  }
-
-  // --- Line 2: sort executors by descending total traffic. ---
-  std::vector<const ExecutorSpec*> order;
-  order.reserve(in.executors.size());
-  for (const auto& e : in.executors) order.push_back(&e);
-  std::sort(order.begin(), order.end(),
-            [&](const ExecutorSpec* a, const ExecutorSpec* b) {
-              const double ta = total_traffic[a->task];
-              const double tb = total_traffic[b->task];
-              if (ta != tb) return ta > tb;
-              return a->task < b->task;  // deterministic tie-break
-            });
-
-  // --- Slot / node state. ---
-  std::unordered_map<SlotIndex, SlotState> slots;
-  NodeId max_node = -1;
-  for (const auto& s : in.slots) {
-    slots[s.slot] = SlotState{s.node, -1, false};
-    max_node = std::max(max_node, s.node);
-  }
-  const auto occupied = occupied_slot_set(in);
-  for (SlotIndex blocked : occupied) {
-    auto it = slots.find(blocked);
-    if (it != slots.end()) it->second.blocked = true;
-  }
-  std::vector<NodeState> nodes(static_cast<std::size_t>(max_node) + 1);
-
-  const double ne = static_cast<double>(in.executors.size());
-  const double kk = static_cast<double>(max_node + 1);
-  const int count_limit = std::max(
-      1, static_cast<int>(std::ceil(in.gamma * ne / kk - 1e-9)));
-
-  // Assigned executors grouped by node, for incremental-traffic costs.
-  std::unordered_map<TaskId, NodeId> task_node;
-
+  if (in.executors.empty()) return {};
   // Effective capacity footprint: CPU load plus optional queue pressure
   // (weight 0 == the paper's Algorithm 1, CPU only). The option overrides
   // the input-level weight when set explicitly.
   const double qw = options_.queue_pressure_weight != 0.0
                         ? options_.queue_pressure_weight
                         : in.queue_pressure_weight;
+  SchedulerIndex index(in, qw);
+  return place(index, in);
+}
+
+ScheduleResult TrafficAwareScheduler::place(SchedulerIndex& ix,
+                                            const SchedulerInput& in) const {
+  ScheduleResult result;
+  const int ne = ix.executors();
+
+  // --- Line 2: sort executors by descending total (incoming + outgoing)
+  // traffic. ---
+  std::vector<double> total_traffic(ne, 0.0);
+  for (int e = 0; e < ne; ++e) {
+    for (const auto& [peer, rate] : ix.adj(e)) total_traffic[e] += rate;
+  }
+  std::vector<int> order(ne);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const double ta = total_traffic[a];
+    const double tb = total_traffic[b];
+    if (ta != tb) return ta > tb;
+    // Deterministic tie-break.
+    return in.executors[a].task < in.executors[b].task;
+  });
+
+  const int count_limit = ix.count_limit(in);
+  const int num_slots = static_cast<int>(ix.slot_id.size());
+  // Traffic from the executor being placed to placed executors, per node.
+  std::vector<double> traffic_on_node(ix.node_id.size(), 0.0);
 
   // --- Line 3-7: greedy assignment. ---
-  for (const ExecutorSpec* e : order) {
-    // Traffic from e to executors already assigned, grouped by node.
-    std::unordered_map<NodeId, double> traffic_on_node;
+  for (int e : order) {
     double assigned_traffic = 0;
-    for (const auto& [peer, rate] : adj[e->task]) {
-      auto it = task_node.find(peer);
-      if (it == task_node.end()) continue;
-      traffic_on_node[it->second] += rate;
+    for (const auto& [peer, rate] : ix.adj(e)) {
+      const int node = ix.exec_node[peer];
+      if (node < 0) continue;
+      traffic_on_node[node] += rate;
       assigned_traffic += rate;
     }
-    const ResourceVector demand = e->effective_demand(qw);
+    const ResourceVector& demand = ix.demand[e];
+    const int topo = ix.topo[e];
 
     // Three passes: full constraints, then count relaxed, then capacity
     // relaxed. Constraint (1) always holds.
-    SlotIndex best = kUnassigned;
+    int best = -1;
     for (int pass = 0; pass < (options_.allow_relaxation ? 3 : 1); ++pass) {
       const bool enforce_count = pass == 0;
       const bool enforce_capacity = pass <= 1;
@@ -112,29 +68,25 @@ ScheduleResult TrafficAwareScheduler::schedule(const SchedulerInput& in) {
       double best_load = std::numeric_limits<double>::infinity();
       int best_count = -1;
 
-      for (const auto& s : in.slots) {
-        const SlotState& st = slots[s.slot];
-        if (st.blocked) continue;
-        const NodeId k = st.node;
-        NodeState& nst = nodes[static_cast<std::size_t>(k)];
+      for (int s = 0; s < num_slots; ++s) {
+        if (ix.blocked[s] != 0) continue;
+        const int k = ix.slot_node[s];
 
         // Constraint (1): if the topology already has a slot on this node,
         // only that slot is eligible; and a slot owned by another topology
         // is never eligible.
-        auto lock = nst.topo_slot.find(e->topology);
-        if (lock != nst.topo_slot.end() && lock->second != s.slot) continue;
-        if (st.owner != -1 && st.owner != e->topology) continue;
+        const int lock = ix.lock(k, topo);
+        if (lock >= 0 && lock != s) continue;
+        if (ix.slot_owner[s] != -1 && ix.slot_owner[s] != topo) continue;
 
         if (enforce_capacity &&
-            !resource_fits(nst.used, demand, in.node_capacity(k))) {
+            !resource_fits(ix.used[k], demand, ix.capacity[k])) {
           continue;
         }
-        if (enforce_count && nst.count + 1 > count_limit) continue;
+        if (enforce_count && ix.count[k] + 1 > count_limit) continue;
 
         // Line 5: incremental inter-node traffic of placing e on node k.
-        double cost = assigned_traffic;
-        auto tn = traffic_on_node.find(k);
-        if (tn != traffic_on_node.end()) cost -= tn->second;
+        const double cost = assigned_traffic - traffic_on_node[k];
 
         // Tie-breaks: prefer fuller nodes (consolidation — this is what
         // lets a large gamma pack a light topology onto few nodes, Fig.
@@ -148,44 +100,44 @@ ScheduleResult TrafficAwareScheduler::schedule(const SchedulerInput& in) {
           better = true;
         } else if (cost < best_cost + 1e-12) {
           if (!enforce_capacity) {
-            better = nst.used[kCpuMhz] < best_load;
+            better = ix.used[k][kCpuMhz] < best_load;
           } else {
-            better = nst.count > best_count ||
-                     (nst.count == best_count && s.slot < best);
+            better = ix.count[k] > best_count ||
+                     (ix.count[k] == best_count &&
+                      ix.slot_id[s] < ix.slot_id[best]);
           }
         }
         if (better) {
-          best = s.slot;
+          best = s;
           best_cost = cost;
-          best_load = nst.used[kCpuMhz];
-          best_count = nst.count;
+          best_load = ix.used[k][kCpuMhz];
+          best_count = ix.count[k];
         }
       }
 
-      if (best != kUnassigned) {
+      if (best >= 0) {
         if (pass >= 1) result.count_relaxed = true;
         if (pass >= 2) result.capacity_relaxed = true;
         break;
       }
     }
 
-    if (best == kUnassigned) {
-      // No slot at all (every slot owned by other topologies). Leave the
-      // executor unassigned; callers treat a partial placement as failure.
-      continue;
+    for (const auto& [peer, rate] : ix.adj(e)) {
+      const int node = ix.exec_node[peer];
+      if (node >= 0) traffic_on_node[node] = 0;
     }
 
-    // Line 6: commit x_{i j*} = 1.
-    SlotState& st = slots[best];
-    NodeState& nst = nodes[static_cast<std::size_t>(st.node)];
-    st.owner = e->topology;
-    nst.topo_slot[e->topology] = best;
-    nst.used = resource_add(nst.used, demand);
-    nst.count += 1;
-    task_node[e->task] = st.node;
-    result.assignment[e->task] = best;
+    // No slot at all (every slot owned by other topologies): leave the
+    // executor unassigned; callers treat a partial placement as failure.
+    // Otherwise line 6: commit x_{i j*} = 1.
+    if (best >= 0) ix.place(e, best);
   }
 
+  for (int e : order) {
+    const int slot = ix.exec_slot[e];
+    if (slot < 0) continue;
+    result.assignment[in.executors[e].task] = ix.slot_id[slot];
+  }
   return result;
 }
 

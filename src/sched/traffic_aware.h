@@ -15,6 +15,8 @@
 
 namespace tstorm::sched {
 
+class SchedulerIndex;
+
 struct TrafficAwareOptions {
   /// When no slot satisfies all constraints, relax the count constraint
   /// first, then capacity. The structural constraint (1) is never relaxed.
@@ -34,6 +36,11 @@ class TrafficAwareScheduler final : public ISchedulingAlgorithm {
       : options_(options) {}
 
   ScheduleResult schedule(const SchedulerInput& input) override;
+
+  /// Algorithm 1 on an index of `input` whose demands already carry the
+  /// queue pressure weight; the placement is left in the index's state.
+  ScheduleResult place(SchedulerIndex& index,
+                       const SchedulerInput& input) const;
 
   [[nodiscard]] std::string name() const override { return "traffic-aware"; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <set>
 #include <unordered_set>
 
 namespace tstorm::sched {
@@ -127,7 +126,6 @@ bool one_slot_per_topology_per_node(const SchedulerInput& in,
   std::unordered_map<TaskId, TopologyId> topo_of;
   for (const auto& e : in.executors) topo_of.emplace(e.task, e.topology);
   // (topology, node) -> slot used there; any second distinct slot fails.
-  std::set<std::pair<TopologyId, NodeId>> seen_key;
   std::unordered_map<long long, SlotIndex> used;
   for (const auto& [task, slot] : p) {
     auto ti = topo_of.find(task);

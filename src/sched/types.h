@@ -183,7 +183,8 @@ struct ScheduleResult {
   bool capacity_relaxed = false;
 };
 
-/// The occupied_slots list as a set (every algorithm needs this lookup).
+/// The occupied_slots list as a set (SchedulerIndex keeps it as per-slot
+/// flags instead).
 [[nodiscard]] std::unordered_set<SlotIndex> occupied_slot_set(
     const SchedulerInput& in);
 

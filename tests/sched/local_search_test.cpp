@@ -92,6 +92,36 @@ TEST(LocalSearch, RespectsCountAndCapacityConstraints) {
   for (const auto& [n, l] : load) EXPECT_LE(l, 100.0 + 1e-9);
 }
 
+TEST(LocalSearch, KeepsAlgorithmOnesCountLimitWhenANodeHasFailed) {
+  // Nodes 0-4, node 2 failed: it keeps its NodeSpec (zero capacity) but
+  // offers no slots. Algorithm 1's K is the largest slot node id + 1 = 5,
+  // so at gamma 1.5 no node may hold more than ceil(1.5 * 10 / 5) = 3
+  // executors, and the refinement must not raise that to ceil(15 / 4).
+  SchedulerInput in;
+  for (int n = 0; n < 5; ++n) {
+    if (n != 2) {
+      for (int p = 0; p < 4; ++p) in.slots.push_back({n * 4 + p, n, p});
+    }
+    in.nodes.push_back({n, n == 2 ? ResourceVector{} : ResourceVector{8000.0}});
+  }
+  add_executors(in, 0, 10);
+  for (int i = 0; i < 10; ++i) {
+    for (int j = i + 1; j < 10; ++j) in.traffic.push_back({i, j, 10.0});
+  }
+  in.gamma = 1.5;
+
+  for (const ScheduleResult& r : {TrafficAwareScheduler().schedule(in),
+                                  LocalSearchScheduler().schedule(in)}) {
+    ASSERT_EQ(r.assignment.size(), 10u);
+    EXPECT_FALSE(r.count_relaxed);
+    std::unordered_map<NodeId, int> per_node;
+    for (const auto& [task, slot] : r.assignment) per_node[slot / 4] += 1;
+    for (const auto& [node, count] : per_node) {
+      EXPECT_LE(count, 3) << "node " << node;
+    }
+  }
+}
+
 TEST(LocalSearch, RegisteredInRegistry) {
   auto alg = AlgorithmRegistry::instance().create("local-search");
   ASSERT_NE(alg, nullptr);
