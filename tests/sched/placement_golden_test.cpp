@@ -1,7 +1,7 @@
 // Placement golden test: every registered algorithm, run on the property
-// sweep's inputs and on a 212-executor input shaped like the benchmark's
-// online scheduling workload, must return exactly the placements recorded
-// below. A result is its FNV-1a hash over the sorted (task, slot) pairs,
+// sweep's inputs, on a 212-executor input shaped like the benchmark's
+// online scheduling workload and on five variants of it, must return
+// exactly the placements recorded below. A result is its FNV-1a hash over the sorted (task, slot) pairs,
 // followed by the count_relaxed and capacity_relaxed flags.
 //
 // This is the oracle for work that changes how a scheduler computes but
@@ -149,13 +149,70 @@ struct NamedInput {
   SchedulerInput input;
 };
 
-/// The sweep's 49 inputs in make_cases() order, then the fleet input.
+/// The fleet input with one runtime shape changed each. Together they reach
+/// the schedulers' slot-eligibility rule and every rung of their relaxation
+/// ladders, which the other inputs leave out.
+std::vector<NamedInput> fleet_variants() {
+  std::vector<NamedInput> out;
+  {
+    // A topology outside the run holds port 0 of every even node and port
+    // 1 of the 8-slot nodes: 24 tasks dealt over 14 slots, so slots repeat
+    // in the list as they do in Cluster::scheduler_input.
+    SchedulerInput in = fleet_input();
+    std::vector<SlotIndex> held;
+    for (const SlotSpec& s : in.slots) {
+      if ((s.port == 0 && s.node % 2 == 0) || (s.port == 1 && s.node < 4)) {
+        held.push_back(s.slot);
+      }
+    }
+    for (std::size_t task = 0; task < 24; ++task) {
+      in.occupied_slots.push_back(held[task % held.size()]);
+    }
+    out.push_back({"fleet212-occupied", std::move(in)});
+  }
+  {
+    // Node 5 has failed: it keeps its id with zero capacity but offers no
+    // slots, so K is still 20. At gamma 1 the limit is ceil(212 / 20) = 11
+    // and the 19 live nodes hold 209 executors within it: three must go
+    // through the count-relaxed rung.
+    SchedulerInput in = fleet_input();
+    in.gamma = 1.0;
+    std::erase_if(in.slots, [](const SlotSpec& s) { return s.node == 5; });
+    in.nodes[5].capacity = {};
+    out.push_back({"fleet212-failed-node", std::move(in)});
+  }
+  {
+    // Queue pressure at the weight bench/ablation_resource_aware runs with.
+    SchedulerInput in = fleet_input();
+    sim::Rng rng(25);
+    for (ExecutorSpec& e : in.executors) e.queue_depth = rng.uniform(0.0, 8.0);
+    in.queue_pressure_weight = 25.0;
+    out.push_back({"fleet212-queue-pressure", std::move(in)});
+  }
+  {
+    // 30 % of the CPU: less than the total demand, memory still ample.
+    SchedulerInput in = fleet_input();
+    for (NodeSpec& n : in.nodes) n.capacity[kCpuMhz] *= 0.3;
+    out.push_back({"fleet212-cpu-tight", std::move(in)});
+  }
+  {
+    // 6 % of the memory: less than the total demand.
+    SchedulerInput in = fleet_input();
+    for (NodeSpec& n : in.nodes) n.capacity[kMemoryMib] *= 0.06;
+    out.push_back({"fleet212-memory-tight", std::move(in)});
+  }
+  return out;
+}
+
+/// The sweep's 49 inputs in make_cases() order, the fleet input, then its
+/// variants.
 std::vector<NamedInput> corpus() {
   std::vector<NamedInput> out;
   for (const SweepCase& c : make_cases()) {
     out.push_back({input_name(c), build_input(c)});
   }
   out.push_back({"fleet212", fleet_input()});
+  for (NamedInput& v : fleet_variants()) out.push_back(std::move(v));
   return out;
 }
 
@@ -178,7 +235,9 @@ const std::map<std::string, std::vector<std::uint64_t>> kGolden = {
       0x9349f011e5b493e5, 0x602615d110caa481, 0x30a435690d4235a5,
       0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0x7d33700b314de4e5,
       0x868367d494817a09, 0xcf26729a33876165, 0x398e6025ba55936d,
-      0x30a435690d4235a5, 0xb9fa7de4b77ba904}},
+      0x30a435690d4235a5, 0xb9fa7de4b77ba904, 0x4b2c10ee3c298838,
+      0xbdf5b2b2bb3e7a85, 0xb9fa7de4b77ba904, 0xd8f544edc26af325,
+      0xd8f544edc26af325}},
     {"aniello-online",
      {0x0c8210784d8af5a5, 0x8697e7faacd1f74c, 0x3fc5793fcdb5b345,
       0x319e58192c7c8568, 0x4e70068b4188d096, 0xb60800e9a7c80b54,
@@ -196,7 +255,9 @@ const std::map<std::string, std::vector<std::uint64_t>> kGolden = {
       0xff486468b5dea365, 0x1311236a6aac350b, 0x36eb4da5c883de25,
       0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0x31187a133113948d,
       0xc88600f8c045a9e8, 0x659bbbd045cbcb59, 0x51a1109f1c962969,
-      0x36eb4da5c883de25, 0x0d13b6aac30d9af5}},
+      0x36eb4da5c883de25, 0x0d13b6aac30d9af5, 0xa1ccf58e0568063f,
+      0x56ab6699e455f100, 0x0d13b6aac30d9af5, 0xee18efa1b81e50d4,
+      0xee18efa1b81e50d4}},
     {"local-search",
      {0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0x3ec9571dc709cec5,
       0xdf41234509716069, 0x76dd115ce388b984, 0x080fdd1efda71ad5,
@@ -214,7 +275,9 @@ const std::map<std::string, std::vector<std::uint64_t>> kGolden = {
       0x2c71298f834c6be5, 0xae86f2f9f2e6d756, 0x47b9f4a0b343aa07,
       0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0x82d13656914c77c5,
       0x8e10d5e250297ca9, 0x244f8911d94821a5, 0x0a3f242079c87b9e,
-      0x47b9f4a0b343aa07, 0x1557145d2f1de226}},
+      0x47b9f4a0b343aa07, 0x1557145d2f1de226, 0xbf5b796c9cd610b9,
+      0x1a3923eb3d7eed4d, 0x0ca2790c0e161e82, 0xa0c112ccf2c570fd,
+      0xf2aaebc1a1abbdb9}},
     {"round-robin",
      {0x0c8210784d8af5a5, 0x068a4ec169c9ca2d, 0xbdab44712a33e345,
       0xc12db2556d516c69, 0xcde2c9454220f7e5, 0x12c286f3132627dd,
@@ -232,7 +295,9 @@ const std::map<std::string, std::vector<std::uint64_t>> kGolden = {
       0x272adbd025ae8a55, 0x5b527bf94d1b64fc, 0xc58dd5f7ecbd5a27,
       0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0xbdab44712a33e345,
       0x456deb067659bc89, 0x0f5d651ff5c4aac6, 0xc4bbb3725dff91ee,
-      0x0319eb0e9d497d65, 0xa0222ad1e5357bf9}},
+      0x0319eb0e9d497d65, 0xa0222ad1e5357bf9, 0xc4ccf1db83803032,
+      0xe933c59a24534eb1, 0x56fd0b57c2025ab9, 0x812763c8da4631d8,
+      0x812763c8da4631d8}},
     {"rstorm",
      {0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0xf69d56f26cda9da6,
       0xd15a43561dbf4889, 0x46c74849581cfb65, 0x44ac5ec8672917e5,
@@ -250,7 +315,9 @@ const std::map<std::string, std::vector<std::uint64_t>> kGolden = {
       0x46c74849581cfb65, 0x44ac5ec8672917e5, 0x93087465af7d9ee4,
       0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0xf69d56f26cda9da6,
       0xd15a43561dbf4889, 0x46c74849581cfb65, 0x44ac5ec8672917e5,
-      0xa31fb54844ac3e64, 0xa625dbab42affa3c}},
+      0xa31fb54844ac3e64, 0xa625dbab42affa3c, 0x3ecdfa0d382ff3fe,
+      0x948d9abe39d312d6, 0x2830c372e5c0a698, 0x5d33a1942022d4dd,
+      0x815fa5594cddaab8}},
     {"traffic-aware",
      {0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0xcfd201ada8698585,
       0x36d1dcb3552a3ae9, 0xcbbcc6f3a578a2c4, 0x7dd4642b247944ad,
@@ -268,7 +335,9 @@ const std::map<std::string, std::vector<std::uint64_t>> kGolden = {
       0x503324e3c2db6d65, 0xafabb28d3861d5cc, 0x47b9f4a0b343aa07,
       0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0xfdbaa73faa0eedc5,
       0x5bbb77f0be18d0e9, 0x3aa1b2d878a0a765, 0x60131522a6c01aaf,
-      0x47b9f4a0b343aa07, 0xa7dce2cd20dd0246}},
+      0x47b9f4a0b343aa07, 0xa7dce2cd20dd0246, 0x82ed8fa7a14a7d42,
+      0x94d5ec81248f4804, 0xa7dce2cd20dd0246, 0xbd3e9463a7db787d,
+      0x62effca2c0c5d21f}},
     {"tstorm-initial",
      {0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0xbdab44712a33e345,
       0x358d952f09ca2a99, 0x66f23ddc8cc624a5, 0x6f4ce1c94b62a5c5,
@@ -286,7 +355,9 @@ const std::map<std::string, std::vector<std::uint64_t>> kGolden = {
       0x41894242f1bee925, 0xcfc7c3c5b91f1b65, 0x0319eb0e9d497d65,
       0x0c8210784d8af5a5, 0xe0bf880d01c1e1ad, 0xbdab44712a33e345,
       0x456deb067659bc89, 0xa4d2331004095f25, 0x1fae920aa1deb147,
-      0x0319eb0e9d497d65, 0x7f828e29319be20d}},
+      0x0319eb0e9d497d65, 0x7f828e29319be20d, 0x55e53d104dfb888e,
+      0x673f8cc46240bb21, 0x23257e253a8def8d, 0x6087c72026ac97ec,
+      0x6087c72026ac97ec}},
 };
 // clang-format on
 
@@ -326,6 +397,32 @@ TEST(PlacementGolden, EveryAlgorithmReproducesItsRecordedPlacements) {
     table += "}},\n";
   }
   if (!all_match) std::printf("Actual placements:\n%s", table.c_str());
+}
+
+TEST(PlacementGolden, FleetVariantsReachTheRelaxationRungs) {
+  std::map<std::string, SchedulerInput> variants;
+  for (NamedInput& v : fleet_variants()) {
+    variants.emplace(v.name, std::move(v.input));
+  }
+  auto& registry = AlgorithmRegistry::instance();
+  const auto run = [&](const std::string& alg, const std::string& input) {
+    return registry.create(alg)->schedule(variants.at(input));
+  };
+  const ScheduleResult failed = run("traffic-aware", "fleet212-failed-node");
+  EXPECT_TRUE(failed.count_relaxed);
+  EXPECT_FALSE(failed.capacity_relaxed);
+  EXPECT_TRUE(run("traffic-aware", "fleet212-cpu-tight").capacity_relaxed);
+  EXPECT_TRUE(run("traffic-aware", "fleet212-memory-tight").capacity_relaxed);
+  EXPECT_TRUE(run("rstorm", "fleet212-cpu-tight").capacity_relaxed);
+  EXPECT_TRUE(run("rstorm", "fleet212-memory-tight").capacity_relaxed);
+
+  // Memory cannot fit anywhere for some executor: R-Storm's memory rung.
+  const SchedulerInput& tight = variants.at("fleet212-memory-tight");
+  double demand = 0;
+  double capacity = 0;
+  for (const ExecutorSpec& e : tight.executors) demand += e.demand[kMemoryMib];
+  for (const NodeSpec& n : tight.nodes) capacity += n.capacity[kMemoryMib];
+  EXPECT_GT(demand, capacity);
 }
 
 TEST(PlacementGolden, FleetInputIsShapedLikeTheOnlineWorkload) {
