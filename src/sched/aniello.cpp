@@ -2,221 +2,180 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
+
+#include "sched/index.h"
 
 namespace tstorm::sched {
 namespace {
 
-struct WeightedEdge {
-  TaskId a;
-  TaskId b;
-  double w;
-};
-
-int requested_workers(const SchedulerInput& in, TopologyId topo) {
-  for (const auto& t : in.topologies) {
-    if (t.id == topo) return t.requested_workers;
-  }
-  return 1;
-}
+using Edge = SchedulerIndex::Edge;
 
 /// Phase 1 of both DEBS'13 schedulers: partition one topology's executors
 /// into `n_workers` groups, greedily co-locating the heaviest edges first,
-/// subject to a per-group size cap of ceil(Ne / n_workers).
-std::vector<std::vector<TaskId>> partition_executors(
-    const std::vector<TaskId>& tasks, const std::vector<WeightedEdge>& edges,
-    int n_workers) {
-  std::vector<std::vector<TaskId>> groups(
-      static_cast<std::size_t>(std::max(1, n_workers)));
+/// subject to a per-group size cap of ceil(Ne / n_workers). Appends the
+/// non-empty groups to `out`; `group_of` is -1 for the topology's executors
+/// on entry and their group in `out` on return.
+void partition_executors(const SchedulerInput& in,
+                         const std::vector<int>& execs,
+                         std::vector<Edge>& edges, int n_workers,
+                         std::vector<int>& group_of,
+                         std::vector<std::vector<int>>& out) {
+  std::vector<std::vector<int>> groups(std::max(1, n_workers));
   const int cap = static_cast<int>(
-      std::ceil(static_cast<double>(tasks.size()) / groups.size()));
-  std::unordered_map<TaskId, int> group_of;
+      std::ceil(static_cast<double>(execs.size()) / groups.size()));
 
-  auto sorted = edges;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const WeightedEdge& x, const WeightedEdge& y) {
-              if (x.w != y.w) return x.w > y.w;
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
+  const auto task = [&](int e) { return in.executors[e].task; };
+  std::sort(edges.begin(), edges.end(), [&](const Edge& x, const Edge& y) {
+    if (x.rate != y.rate) return x.rate > y.rate;
+    if (task(x.src) != task(y.src)) return task(x.src) < task(y.src);
+    return task(x.dst) < task(y.dst);
+  });
 
-  const auto least_loaded = [&]() -> int {
+  const auto least_loaded = [&] {
     int best = 0;
-    for (std::size_t g = 1; g < groups.size(); ++g) {
-      if (groups[g].size() < groups[static_cast<std::size_t>(best)].size()) {
-        best = static_cast<int>(g);
-      }
+    for (int g = 1; g < std::ssize(groups); ++g) {
+      if (groups[g].size() < groups[best].size()) best = g;
     }
     return best;
   };
-  const auto place = [&](TaskId t, int g) {
-    groups[static_cast<std::size_t>(g)].push_back(t);
-    group_of[t] = g;
+  const auto place = [&](int e, int g) {
+    groups[g].push_back(e);
+    group_of[e] = g;
   };
 
-  for (const auto& e : sorted) {
-    const bool ha = group_of.contains(e.a);
-    const bool hb = group_of.contains(e.b);
+  for (const Edge& edge : edges) {
+    const bool ha = group_of[edge.src] >= 0;
+    const bool hb = group_of[edge.dst] >= 0;
     if (ha && hb) continue;
     if (!ha && !hb) {
-      int g = least_loaded();
-      if (groups[static_cast<std::size_t>(g)].size() + 2 <=
-          static_cast<std::size_t>(cap)) {
-        place(e.a, g);
-        place(e.b, g);
-      } else {
-        place(e.a, least_loaded());
-        place(e.b, least_loaded());
-      }
+      // Both into the least loaded group when the pair fits there.
+      const bool pair_fits = std::ssize(groups[least_loaded()]) + 2 <= cap;
+      place(edge.src, least_loaded());
+      place(edge.dst, pair_fits ? group_of[edge.src] : least_loaded());
       continue;
     }
-    const TaskId placed = ha ? e.a : e.b;
-    const TaskId loose = ha ? e.b : e.a;
-    const int g = group_of[placed];
-    if (groups[static_cast<std::size_t>(g)].size() <
-        static_cast<std::size_t>(cap)) {
-      place(loose, g);
-    } else {
-      place(loose, least_loaded());
-    }
+    const int g = group_of[ha ? edge.src : edge.dst];
+    const int loose = ha ? edge.dst : edge.src;
+    place(loose, std::ssize(groups[g]) < cap ? g : least_loaded());
   }
-  for (TaskId t : tasks) {
-    if (!group_of.contains(t)) place(t, least_loaded());
+  for (int e : execs) {
+    if (group_of[e] < 0) place(e, least_loaded());
   }
-  return groups;
+  for (auto& g : groups) {
+    if (g.empty()) continue;
+    for (int e : g) group_of[e] = static_cast<int>(out.size());
+    out.push_back(std::move(g));
+  }
 }
 
 /// Phase 2: place worker groups onto free slots, heaviest inter-group
 /// traffic first, co-locating groups on the same node when a free slot
-/// exists there.
-ScheduleResult place_groups(const SchedulerInput& in,
-                            const std::vector<std::vector<TaskId>>& groups,
-                            const std::vector<WeightedEdge>& edges) {
-  ScheduleResult result;
-  const auto occupied = occupied_slot_set(in);
-  // Free slots grouped per node, in (node, port) order.
-  std::map<NodeId, std::vector<SlotIndex>> free_slots;
-  {
-    auto slots = in.slots;
-    std::sort(slots.begin(), slots.end(),
-              [](const SlotSpec& a, const SlotSpec& b) {
-                if (a.node != b.node) return a.node < b.node;
-                return a.port < b.port;
-              });
-    for (const auto& s : slots) {
-      if (!occupied.contains(s.slot)) free_slots[s.node].push_back(s.slot);
+/// exists there. Each node hands out its free slots in ascending id, which
+/// is port order for the runtime's node-major slot ids.
+ScheduleResult place_groups(const SchedulerIndex& ix, const SchedulerInput& in,
+                            const std::vector<std::vector<int>>& groups,
+                            const std::vector<int>& group_of) {
+  // Inter-group weights: each pair's edges summed in input order.
+  using Pair = std::pair<std::pair<int, int>, double>;
+  std::vector<Pair> pairs;
+  for (const Edge& edge : ix.edges) {
+    const int ga = group_of[edge.src];
+    const int gb = group_of[edge.dst];
+    if (edge.rate > 0 && ga != gb) {
+      pairs.push_back({std::minmax(ga, gb), edge.rate});
     }
   }
-
-  std::unordered_map<TaskId, int> group_of;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (TaskId t : groups[g]) group_of[t] = static_cast<int>(g);
+  std::ranges::stable_sort(pairs, std::less{}, &Pair::first);
+  std::size_t merged = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (merged > 0 && pairs[merged - 1].first == pairs[i].first) {
+      pairs[merged - 1].second += pairs[i].second;
+    } else {
+      pairs[merged++] = pairs[i];
+    }
   }
-  // Inter-group weights.
-  std::map<std::pair<int, int>, double> gw;
-  for (const auto& e : edges) {
-    auto ia = group_of.find(e.a);
-    auto ib = group_of.find(e.b);
-    if (ia == group_of.end() || ib == group_of.end()) continue;
-    if (ia->second == ib->second) continue;
-    auto key = std::minmax(ia->second, ib->second);
-    gw[{key.first, key.second}] += e.w;
-  }
-  std::vector<std::pair<std::pair<int, int>, double>> pairs(gw.begin(),
-                                                            gw.end());
-  std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
+  pairs.resize(merged);
+  std::sort(pairs.begin(), pairs.end(), [](const Pair& x, const Pair& y) {
     if (x.second != y.second) return x.second > y.second;
     return x.first < y.first;
   });
 
-  std::vector<NodeId> group_node(groups.size(), -1);
-  std::vector<SlotIndex> group_slot(groups.size(), kUnassigned);
-
-  const auto take_slot_on = [&](NodeId preferred) -> std::pair<NodeId, SlotIndex> {
-    if (preferred >= 0) {
-      auto it = free_slots.find(preferred);
-      if (it != free_slots.end() && !it->second.empty()) {
-        SlotIndex s = it->second.front();
-        it->second.erase(it->second.begin());
-        return {preferred, s};
-      }
+  // Per node: free slots left, and the position of the next one.
+  const int nodes = static_cast<int>(ix.node_id.size());
+  std::vector<int> left(nodes, 0);
+  std::vector<std::size_t> next(nodes, 0);
+  for (int n = 0; n < nodes; ++n) {
+    for (int s : ix.node_slots[n]) left[n] += ix.blocked[s] == 0 ? 1 : 0;
+  }
+  const auto take_slot_on = [&](int preferred) {
+    int n = preferred;
+    if (n < 0 || left[n] == 0) {
+      // Node with the most free slots (spreads load), lowest id on ties.
+      const auto most = std::max_element(left.begin(), left.end());
+      if (most == left.end() || *most == 0) return -1;
+      n = static_cast<int>(most - left.begin());
     }
-    // Node with the most free slots (spreads load), lowest id on ties.
-    NodeId best = -1;
-    std::size_t best_free = 0;
-    for (const auto& [node, v] : free_slots) {
-      if (v.size() > best_free) {
-        best = node;
-        best_free = v.size();
-      }
-    }
-    if (best < 0) return {-1, kUnassigned};
-    SlotIndex s = free_slots[best].front();
-    free_slots[best].erase(free_slots[best].begin());
-    return {best, s};
+    const auto& slots = ix.node_slots[n];
+    while (ix.blocked[slots[next[n]]] != 0) ++next[n];
+    left[n] -= 1;
+    return slots[next[n]++];
   };
-  const auto ensure_placed = [&](int g, NodeId preferred) {
-    if (group_slot[static_cast<std::size_t>(g)] != kUnassigned) return;
-    auto [node, slot] = take_slot_on(preferred);
-    group_node[static_cast<std::size_t>(g)] = node;
-    group_slot[static_cast<std::size_t>(g)] = slot;
+
+  std::vector<int> group_slot(groups.size(), -1);
+  const auto node_of = [&](int g) {
+    return group_slot[g] < 0 ? -1 : ix.slot_node[group_slot[g]];
+  };
+  const auto ensure_placed = [&](int g, int preferred) {
+    if (group_slot[g] < 0) group_slot[g] = take_slot_on(preferred);
   };
 
   for (const auto& [key, w] : pairs) {
     const auto [ga, gb] = key;
-    const bool pa = group_slot[static_cast<std::size_t>(ga)] != kUnassigned;
-    const bool pb = group_slot[static_cast<std::size_t>(gb)] != kUnassigned;
+    const bool pa = group_slot[ga] >= 0;
+    const bool pb = group_slot[gb] >= 0;
     if (pa && pb) continue;
     if (!pa && !pb) {
       ensure_placed(ga, -1);
-      ensure_placed(gb, group_node[static_cast<std::size_t>(ga)]);
+      ensure_placed(gb, node_of(ga));
     } else if (pa) {
-      ensure_placed(gb, group_node[static_cast<std::size_t>(ga)]);
+      ensure_placed(gb, node_of(ga));
     } else {
-      ensure_placed(ga, group_node[static_cast<std::size_t>(gb)]);
+      ensure_placed(ga, node_of(gb));
     }
   }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (!groups[g].empty()) ensure_placed(static_cast<int>(g), -1);
-  }
+  for (int g = 0; g < std::ssize(groups); ++g) ensure_placed(g, -1);
 
+  ScheduleResult result;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (group_slot[g] == kUnassigned) continue;
-    for (TaskId t : groups[g]) result.assignment[t] = group_slot[g];
+    if (group_slot[g] < 0) continue;
+    for (int e : groups[g]) {
+      result.assignment[in.executors[e].task] = ix.slot_id[group_slot[g]];
+    }
   }
   return result;
 }
 
-ScheduleResult run_two_phase(const SchedulerInput& in,
-                             const std::vector<WeightedEdge>& edges) {
-  // Partition per topology, then place all groups together.
-  std::map<TopologyId, std::vector<TaskId>> tasks_by_topo;
-  for (const auto& e : in.executors) {
-    tasks_by_topo[e.topology].push_back(e.task);
+/// Both phases over the index's edges of positive weight: partition per
+/// topology, then place all groups together.
+ScheduleResult run_two_phase(const SchedulerIndex& ix,
+                             const SchedulerInput& in) {
+  std::vector<std::vector<int>> members(ix.topologies);
+  std::vector<std::vector<Edge>> topo_edges(ix.topologies);
+  for (const Edge& edge : ix.edges) {
+    const int t = ix.topo[edge.src];
+    if (edge.rate > 0 && t == ix.topo[edge.dst]) topo_edges[t].push_back(edge);
   }
-  std::unordered_map<TaskId, TopologyId> topo_of;
-  for (const auto& e : in.executors) topo_of[e.task] = e.topology;
+  for (int e = 0; e < ix.executors(); ++e) members[ix.topo[e]].push_back(e);
 
-  std::vector<std::vector<TaskId>> all_groups;
-  for (auto& [topo, tasks] : tasks_by_topo) {
-    std::vector<WeightedEdge> topo_edges;
-    for (const auto& e : edges) {
-      auto a = topo_of.find(e.a);
-      auto b = topo_of.find(e.b);
-      if (a != topo_of.end() && b != topo_of.end() && a->second == topo &&
-          b->second == topo) {
-        topo_edges.push_back(e);
-      }
-    }
-    auto groups =
-        partition_executors(tasks, topo_edges, requested_workers(in, topo));
-    for (auto& g : groups) {
-      if (!g.empty()) all_groups.push_back(std::move(g));
-    }
+  std::vector<int> group_of(ix.executors(), -1);
+  std::vector<std::vector<int>> groups;
+  for (int t = 0; t < ix.topologies; ++t) {
+    const TopologyId id = in.executors[members[t].front()].topology;
+    partition_executors(in, members[t], topo_edges[t],
+                        requested_workers(in, id), group_of, groups);
   }
-  ScheduleResult result = place_groups(in, all_groups, edges);
+  ScheduleResult result = place_groups(ix, in, groups, group_of);
   audit_capacity(in, result);  // capacity-blind: flag overcommit post hoc
   return result;
 }
@@ -225,22 +184,14 @@ ScheduleResult run_two_phase(const SchedulerInput& in,
 
 ScheduleResult AnielloOfflineScheduler::schedule(const SchedulerInput& in) {
   // Offline: unit weights from the topology graph only.
-  std::vector<WeightedEdge> edges;
-  edges.reserve(in.topology_edges.size());
-  for (const auto& [a, b] : in.topology_edges) {
-    edges.push_back({a, b, 1.0});
-  }
-  return run_two_phase(in, edges);
+  SchedulerIndex ix(in, in.queue_pressure_weight);
+  ix.use_topology_edges(in);
+  return run_two_phase(ix, in);
 }
 
 ScheduleResult AnielloOnlineScheduler::schedule(const SchedulerInput& in) {
   // Online: weights are the measured traffic rates.
-  std::vector<WeightedEdge> edges;
-  edges.reserve(in.traffic.size());
-  for (const auto& t : in.traffic) {
-    if (t.rate > 0) edges.push_back({t.src, t.dst, t.rate});
-  }
-  return run_two_phase(in, edges);
+  return run_two_phase(SchedulerIndex(in, in.queue_pressure_weight), in);
 }
 
 }  // namespace tstorm::sched

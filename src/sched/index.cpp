@@ -59,6 +59,10 @@ SchedulerIndex::SchedulerIndex(const SchedulerInput& in,
     slot_node[s] = rank_of(node_id, slot_node[s]);
     node_slots[slot_node[s]].push_back(static_cast<int>(s));
   }
+  for (auto& slots : node_slots) {
+    std::sort(slots.begin(), slots.end(),
+              [this](int a, int b) { return slot_id[a] < slot_id[b]; });
+  }
   capacity.reserve(node_id.size());
   for (NodeId k : node_id) capacity.push_back(in.node_capacity(k));
   blocked.assign(slot_id.size(), 0);
@@ -97,6 +101,7 @@ void SchedulerIndex::use_topology_edges(const SchedulerInput& in) {
     unit.push_back({a->second, b->second, 1.0});
   }
   set_adjacency(unit);
+  edges = std::move(unit);
 }
 
 int SchedulerIndex::count_limit(const SchedulerInput& in) const {
@@ -113,7 +118,7 @@ void SchedulerIndex::place(int e, int s) {
   count[n] += 1;
   slot_count[s] += 1;
   slot_owner[s] = topo[e];
-  lock(n, topo[e]) = s;
+  lock_[n * topologies + topo[e]] = s;
 }
 
 void SchedulerIndex::remove(int e) {
@@ -125,7 +130,7 @@ void SchedulerIndex::remove(int e) {
   count[n] -= 1;
   if (--slot_count[s] == 0) {
     slot_owner[s] = -1;
-    lock(n, topo[e]) = -1;
+    lock_[n * topologies + topo[e]] = -1;
   }
 }
 

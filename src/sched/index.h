@@ -6,9 +6,10 @@
 // 1's constraint (1)) that every placing scheduler keeps.
 //
 // Dense ids: executor e is in.executors[e]; slots are numbered in
-// first-seen order of in.slots (a repeated slot id keeps its first node);
-// nodes are the nodes offering at least one slot, in ascending NodeId;
-// topologies are the executors' topologies in ascending TopologyId.
+// first-seen order of in.slots (a repeated slot id keeps its first node),
+// and each node lists its slots in ascending slot id; nodes are the nodes
+// offering at least one slot, in ascending NodeId; topologies are the
+// executors' topologies in ascending TopologyId.
 // Adjacency lists keep in.traffic order, so a per-node traffic sum taken
 // along them adds the same rates in the same order as a walk over the
 // input, and is bit-equal to it.
@@ -45,7 +46,11 @@ class SchedulerIndex {
   [[nodiscard]] std::span<const std::pair<int, double>> adj(int e) const {
     return {adj_.data() + adj_begin_[e], adj_.data() + adj_begin_[e + 1]};
   }
-  /// Every traffic entry between two executors, any rate, input order.
+  /// True when some entry has a positive rate (some adj(e) is non-empty).
+  [[nodiscard]] bool has_adjacency() const { return !adj_.empty(); }
+  /// Every entry the adjacency was built from, any rate, input order: the
+  /// traffic between executors, or the unit topology edges after
+  /// use_topology_edges().
   std::vector<Edge> edges;
 
   // --- Slots and nodes. ---
@@ -54,7 +59,7 @@ class SchedulerIndex {
   std::vector<int> slot_node;
   std::vector<char> blocked;  // occupied by a topology outside this run
   std::vector<NodeId> node_id;
-  std::vector<std::vector<int>> node_slots;  // dense slots, input order
+  std::vector<std::vector<int>> node_slots;  // dense slots, ascending id
   std::vector<ResourceVector> capacity;      // node_capacity() per node
   int topologies = 0;
 
@@ -71,8 +76,17 @@ class SchedulerIndex {
   /// but offers no slots, and still counts.
   [[nodiscard]] int count_limit(const SchedulerInput& in) const;
 
-  /// The slot topology `t` holds on node `n` (constraint (1)), or -1.
-  int& lock(int n, int t) { return lock_[n * topologies + t]; }
+  /// The slot topology `t` would use on node `n`, or -1 when none is
+  /// left: the slot it holds there, else the node's free slot with the
+  /// lowest id. The one eligibility rule of every placing scheduler.
+  [[nodiscard]] int eligible_slot(int n, int t) const {
+    const int held = lock_[n * topologies + t];
+    if (held >= 0) return held;
+    for (int s : node_slots[n]) {
+      if (blocked[s] == 0 && slot_owner[s] == -1) return s;
+    }
+    return -1;
+  }
 
   /// Places executor e on dense slot s, taking the slot for e's topology.
   void place(int e, int s);
@@ -81,7 +95,8 @@ class SchedulerIndex {
   /// Clears every placement.
   void reset();
 
-  /// Replaces the traffic adjacency with unit-weight topology edges.
+  /// Replaces the traffic adjacency and edges with unit-weight topology
+  /// edges.
   void use_topology_edges(const SchedulerInput& in);
 
  private:
@@ -91,7 +106,9 @@ class SchedulerIndex {
   std::vector<int> adj_begin_;  // adj(e) is adj_[adj_begin_[e], [e + 1])
   std::vector<std::pair<int, double>> adj_;
   NodeId max_node_ = -1;
-  std::vector<int> lock_;  // [node * topologies + topology] -> slot or -1
+  /// [node * topologies + topology] -> the slot the topology holds on the
+  /// node (constraint (1)), or -1.
+  std::vector<int> lock_;
 };
 
 }  // namespace tstorm::sched

@@ -4,15 +4,26 @@
 #include <initializer_list>
 #include <vector>
 
+#include "sched/greedy.h"
 #include "sched/index.h"
 #include "sched/traffic_aware.h"
 
 namespace tstorm::sched {
+namespace {
+
+/// Maximum full improvement passes over all executors.
+constexpr int kMaxPasses = 8;
+/// Stop when a full pass improves traffic by less than this fraction.
+constexpr double kMinGain = 1e-3;
+/// Every move keeps Algorithm 1's constraints (1)-(3).
+constexpr Rung kAllConstraints{true, kFitAll};
+
+}  // namespace
 
 ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
   SchedulerIndex ix(in, in.queue_pressure_weight);
   // Seed with Algorithm 1.
-  ScheduleResult result = TrafficAwareScheduler().place(ix, in);
+  ScheduleResult result = place_algorithm1(ix, in);
   if (result.assignment.size() != in.executors.size()) return result;
 
   // Node loads are summed in the seed result's iteration order: a capacity
@@ -65,15 +76,6 @@ ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
       }
     }
   };
-  // The slot topology t would use on node n: its locked slot, else the
-  // node's first free slot.
-  const auto target_slot = [&](int n, int t) {
-    if (ix.lock(n, t) >= 0) return ix.lock(n, t);
-    for (int s : ix.node_slots[n]) {
-      if (ix.blocked[s] == 0 && ix.slot_owner[s] == -1) return s;
-    }
-    return -1;
-  };
   // Executors of each topology in input order, for the swap pass.
   std::vector<std::vector<int>> same_topology(ix.topologies);
   std::vector<int> rank(ne);
@@ -83,7 +85,7 @@ ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
   }
 
   const int count_limit = ix.count_limit(in);
-  for (int pass = 0; pass < options_.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     double pass_gain = 0;
     for (int e = 0; e < ne; ++e) {
       const int cur = ix.exec_node[e];
@@ -98,12 +100,10 @@ ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
         if (n == cur) continue;
         const double gain = we[n] - cur_local;
         if (!(gain > best_gain + 1e-12)) continue;
-        const int target = target_slot(n, ix.topo[e]);
-        if (target < 0) continue;
-        if (!resource_fits(ix.used[n], ix.demand[e], ix.capacity[n])) {
+        const int target = ix.eligible_slot(n, ix.topo[e]);
+        if (target < 0 || !admits(ix, kAllConstraints, count_limit, e, n)) {
           continue;
         }
-        if (ix.count[n] + 1 > count_limit) continue;
         best_gain = gain;
         best_node = n;
         best_slot = target;
@@ -163,7 +163,7 @@ ScheduleResult LocalSearchScheduler::schedule(const SchedulerInput& in) {
     for (const auto& edge : ix.edges) {
       if (ix.exec_node[edge.src] != ix.exec_node[edge.dst]) total += edge.rate;
     }
-    if (pass_gain <= options_.min_gain * std::max(1.0, total)) break;
+    if (pass_gain <= kMinGain * std::max(1.0, total)) break;
   }
 
   auto next = seeded.begin();

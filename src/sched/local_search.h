@@ -19,24 +19,10 @@
 
 namespace tstorm::sched {
 
-struct LocalSearchOptions {
-  /// Maximum full improvement passes over all executors.
-  int max_passes = 8;
-  /// Stop when a full pass improves traffic by less than this fraction.
-  double min_gain = 1e-3;
-};
-
 class LocalSearchScheduler final : public ISchedulingAlgorithm {
  public:
-  explicit LocalSearchScheduler(LocalSearchOptions options = {})
-      : options_(options) {}
-
   ScheduleResult schedule(const SchedulerInput& input) override;
-
   [[nodiscard]] std::string name() const override { return "local-search"; }
-
- private:
-  LocalSearchOptions options_;
 };
 
 }  // namespace tstorm::sched

@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
+#include "sched/greedy.h"
 #include "sched/index.h"
 
 namespace tstorm::sched {
 namespace {
+
+/// Term weights of the squared distance. Network distance dominates:
+/// R-Storm's ordering is network proximity first, then resource fit (the
+/// paper's theta_1 >> theta_2, theta_3).
+constexpr double kNetworkDistanceWeight = 10.0;
+constexpr double kCpuWeight = 1.0;
+constexpr double kBandwidthWeight = 1.0;
 
 /// Breadth-first executor order, topology by topology in ascending id,
 /// spouts first — R-Storm walks the topology DAG so each task is placed
@@ -38,68 +45,45 @@ std::vector<int> bfs_order(const SchedulerIndex& ix,
   std::vector<int> order;
   order.reserve(ne);
   std::vector<char> seen(ne, 0);
+  const auto visit = [&](int t) {
+    if (seen[t] != 0) return;
+    seen[t] = 1;
+    order.push_back(t);
+  };
   for (auto& tasks : members) {
     std::sort(tasks.begin(), tasks.end(), by_task);
     // `order` past `head` is the FIFO frontier.
     std::size_t head = order.size();
     for (int t : tasks) {
-      if (in_degree[t] == 0 && seen[t] == 0) {
-        seen[t] = 1;
-        order.push_back(t);
-      }
+      if (in_degree[t] == 0) visit(t);
     }
     for (; head < order.size(); ++head) {
-      for (int next : out[order[head]]) {
-        if (seen[next] == 0) {
-          seen[next] = 1;
-          order.push_back(next);
-        }
-      }
+      for (int next : out[order[head]]) visit(next);
     }
-    for (int t : tasks) {  // cycles / isolated tasks
-      if (seen[t] == 0) {
-        seen[t] = 1;
-        order.push_back(t);
-      }
-    }
+    for (int t : tasks) visit(t);  // cycles / isolated tasks
   }
   return order;
 }
 
-}  // namespace
+/// R-Storm's squared distance of executor e from node n. Network distance
+/// dominates (co-locate with the chatty neighbour whenever the node fits);
+/// the resource terms score the node's utilization *after* placement, so
+/// among feasible nodes the one left with the most headroom wins. The
+/// original R-Storm distance is a best-fit (smallest leftover gap), which
+/// is sound for the paper's user-declared demands but crams measured,
+/// EWMA-lagged demands onto the weakest node of a heterogeneous fleet;
+/// production resource-aware schedulers order candidates by available
+/// headroom for the same reason. Terms are normalized by capacity so
+/// "almost full" means the same on a big and a small node; an
+/// unconstrained (infinite or zero-capacity) dimension contributes nothing.
+struct Distance {
+  const SchedulerIndex& ix;
+  int ref_node = -1;
 
-ScheduleResult RStormScheduler::schedule(const SchedulerInput& in) {
-  ScheduleResult result;
-  if (in.executors.empty()) return result;
-
-  SchedulerIndex ix(in, in.queue_pressure_weight);
-  // Traffic adjacency (for the reference node); falls back to topology
-  // edges with unit weight when no traffic has been measured yet.
-  bool measured = false;
-  for (int e = 0; e < ix.executors() && !measured; ++e) {
-    measured = !ix.adj(e).empty();
-  }
-  if (!measured) ix.use_topology_edges(in);
-  const int nodes = static_cast<int>(ix.node_id.size());
-
-  // The slot this topology would use on node k: its locked slot if it has
-  // one, else the lowest-index free slot there.
-  const auto eligible_slot = [&](int k, int topo) {
-    if (ix.lock(k, topo) >= 0) return ix.lock(k, topo);
-    int best = -1;
-    for (int s : ix.node_slots[k]) {
-      if (ix.blocked[s] != 0 || ix.slot_owner[s] != -1) continue;
-      if (best < 0 || ix.slot_id[s] < ix.slot_id[best]) best = s;
-    }
-    return best;
-  };
-
-  for (int e : bfs_order(ix, in)) {
-    const ResourceVector& demand = ix.demand[e];
-
-    // Reference node: where the heaviest-traffic already-placed
-    // neighbour lives (R-Storm measures network distance from there).
-    int ref_node = -1;
+  /// Finds the reference node: where the heaviest-traffic already-placed
+  /// neighbour lives (R-Storm measures network distance from there).
+  void begin(int e) {
+    ref_node = -1;
     double ref_rate = -1;
     for (const auto& [peer, rate] : ix.adj(e)) {
       const int pn = ix.exec_node[peer];
@@ -109,69 +93,44 @@ ScheduleResult RStormScheduler::schedule(const SchedulerInput& in) {
         ref_node = pn;
       }
     }
-
-    // Passes: all constraints -> soft (CPU, bandwidth) relaxed -> memory
-    // relaxed too. Memory is R-Storm's only hard resource constraint.
-    int best = -1;
-    int best_node = -1;
-    for (int pass = 0; pass < (options_.allow_relaxation ? 3 : 1); ++pass) {
-      const bool enforce_soft = pass == 0;
-      const bool enforce_memory = pass <= 1;
-      double best_dist = std::numeric_limits<double>::infinity();
-
-      for (int k = 0; k < nodes; ++k) {
-        const int slot = eligible_slot(k, ix.topo[e]);
-        if (slot < 0) continue;
-        const ResourceVector& used = ix.used[k];
-        const ResourceVector& cap = ix.capacity[k];
-
-        const bool mem_ok =
-            used[kMemoryMib] + demand[kMemoryMib] <= cap[kMemoryMib];
-        if (enforce_memory && !mem_ok) continue;
-        if (enforce_soft && !resource_fits(used, demand, cap)) continue;
-
-        // Network distance dominates (co-locate with the chatty
-        // neighbour whenever the node fits); the resource terms score
-        // the node's utilization *after* placement, so among feasible
-        // nodes the one left with the most headroom wins. The original
-        // R-Storm distance is a best-fit (smallest leftover gap), which
-        // is sound for the paper's user-declared demands but crams
-        // measured, EWMA-lagged demands onto the weakest node of a
-        // heterogeneous fleet; production resource-aware schedulers
-        // order candidates by available headroom for the same reason.
-        // Terms are normalized by capacity so "almost full" means the
-        // same on a big and a small node; an unconstrained (infinite or
-        // zero-capacity) dimension contributes nothing.
-        double dist = options_.network_distance_weight *
-                      (ref_node >= 0 && k != ref_node ? 1.0 : 0.0);
-        const auto fit_term = [&](std::size_t d) {
-          if (!(cap[d] > 0) || std::isinf(cap[d])) return 0.0;
-          const double util = (used[d] + demand[d]) / cap[d];
-          return util * util;
-        };
-        dist += options_.cpu_weight * fit_term(kCpuMhz);
-        dist += options_.bandwidth_weight * fit_term(kNetworkMbps);
-
-        if (dist < best_dist - 1e-12 ||
-            (dist < best_dist + 1e-12 && k < best_node)) {
-          best_dist = dist;
-          best = slot;
-          best_node = k;
-        }
-      }
-
-      if (best >= 0) {
-        if (pass >= 1) result.capacity_relaxed = true;
-        break;
-      }
-    }
-
-    if (best < 0) continue;  // out of slots entirely
-    ix.place(e, best);
-    result.assignment[in.executors[e].task] = ix.slot_id[best];
   }
 
-  return result;
+  [[nodiscard]] double score(int e, int n) const {
+    const ResourceVector& used = ix.used[n];
+    const ResourceVector& cap = ix.capacity[n];
+    const auto fit_term = [&](std::size_t d) {
+      if (!(cap[d] > 0) || std::isinf(cap[d])) return 0.0;
+      const double util = (used[d] + ix.demand[e][d]) / cap[d];
+      return util * util;
+    };
+    double dist = kNetworkDistanceWeight *
+                  (ref_node >= 0 && n != ref_node ? 1.0 : 0.0);
+    dist += kCpuWeight * fit_term(kCpuMhz);
+    dist += kBandwidthWeight * fit_term(kNetworkMbps);
+    return dist;
+  }
+
+  /// Ties go to the first node visited, the lowest id.
+  bool prefers(int, int, int, int, const Rung&) const { return false; }
+};
+
+/// Memory is R-Storm's only hard resource constraint: all constraints, then
+/// the soft ones (CPU, bandwidth) dropped, then memory too.
+constexpr Rung kLadder[] = {
+    {false, kFitAll}, {false, 1u << kMemoryMib}, {false, 0}};
+
+}  // namespace
+
+ScheduleResult RStormScheduler::schedule(const SchedulerInput& in) {
+  if (in.executors.empty()) return {};
+
+  SchedulerIndex ix(in, in.queue_pressure_weight);
+  // Traffic adjacency (for the reference node); falls back to topology
+  // edges with unit weight when no traffic has been measured yet.
+  if (!ix.has_adjacency()) ix.use_topology_edges(in);
+
+  Distance distance{ix};
+  return place_greedily(ix, in, bfs_order(ix, in), kLadder, distance);
 }
 
 }  // namespace tstorm::sched

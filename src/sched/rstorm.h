@@ -13,30 +13,10 @@
 
 namespace tstorm::sched {
 
-struct RStormOptions {
-  /// Term weights of the squared distance. Network distance dominates —
-  /// R-Storm's ordering is network proximity first, then resource fit
-  /// (the paper's theta_1 >> theta_2, theta_3).
-  double network_distance_weight = 10.0;
-  double cpu_weight = 1.0;
-  double bandwidth_weight = 1.0;
-  /// When no node satisfies the constraints, retry with soft constraints
-  /// (CPU, bandwidth) dropped, then with the memory hard constraint
-  /// dropped too, setting ScheduleResult::capacity_relaxed. When false,
-  /// infeasible tasks stay unassigned.
-  bool allow_relaxation = true;
-};
-
 class RStormScheduler final : public ISchedulingAlgorithm {
  public:
-  explicit RStormScheduler(RStormOptions options = {}) : options_(options) {}
-
   ScheduleResult schedule(const SchedulerInput& input) override;
-
   [[nodiscard]] std::string name() const override { return "rstorm"; }
-
- private:
-  RStormOptions options_;
 };
 
 }  // namespace tstorm::sched

@@ -48,8 +48,11 @@ ResourceVector SchedulerInput::node_capacity(NodeId k) const {
   return nodes[static_cast<std::size_t>(k)].capacity;
 }
 
-std::unordered_set<SlotIndex> occupied_slot_set(const SchedulerInput& in) {
-  return {in.occupied_slots.begin(), in.occupied_slots.end()};
+int requested_workers(const SchedulerInput& in, TopologyId topo) {
+  for (const auto& t : in.topologies) {
+    if (t.id == topo) return t.requested_workers;
+  }
+  return 1;
 }
 
 void audit_capacity(const SchedulerInput& in, ScheduleResult& result) {

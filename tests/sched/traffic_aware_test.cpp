@@ -196,14 +196,6 @@ TEST(TrafficAware, CapacityRelaxationPlacesEveryone) {
   EXPECT_TRUE(one_slot_per_topology_per_node(in, r.assignment));
 }
 
-TEST(TrafficAware, NoRelaxationOptionLeavesUnplaced) {
-  auto in = make_input(1, 1, 10.0);
-  add_executors(in, 0, 3, 40.0);
-  TrafficAwareScheduler alg(TrafficAwareOptions{.allow_relaxation = false});
-  const auto r = alg.schedule(in);
-  EXPECT_LT(r.assignment.size(), 3u);
-}
-
 TEST(TrafficAware, OccupiedSlotsAvoided) {
   auto in = make_input(2, 1, 1e9);
   add_executors(in, 0, 3);
