@@ -65,6 +65,10 @@ void Supervisor::set_active(bool active) {
     // The machine died: every worker process dies with it.
     for (auto& [port, worker] : workers_) worker->stop();
     workers_.clear();
+    // A node back before node_timeout sees the same assignments it last
+    // synced; without this reset sync() would take its early exit forever
+    // and never restart the workers that died with the machine.
+    sync_fingerprint_ = 0;
     for (auto& worker : draining_) worker->stop();
     draining_.clear();
     sync_task_->stop();

@@ -128,6 +128,39 @@ TEST(FailureDetection, RecoveredNodeIsDeclaredAliveAgain) {
   EXPECT_EQ(alive.back().node, 4);
 }
 
+TEST(FailureDetection, NodeBackInsideTimeoutRestartsItsWorkers) {
+  // The node crashes and recovers before node_timeout: Nimbus never
+  // declares it dead, so the assignment is unchanged and only its own
+  // supervisor can bring its workers back.
+  sim::Simulation sim;
+  ClusterConfig cfg;
+  cfg.failure_detection = true;
+  core::StormSystem sys(sim, cfg);
+  const auto id = sys.submit(workload::make_throughput_test(small_throughput()));
+  sim.run_until(100.0);
+  auto& cluster = sys.cluster();
+
+  const sched::NodeId victim = node_with_executors(cluster);
+  ASSERT_GE(victim, 0);
+  const std::size_t hosted = cluster.executors_on_node(victim).size();
+  const sched::AssignmentVersion version =
+      cluster.coordination().get(id)->version;
+  cluster.fail_node(victim);
+  sim.run_until(106.0);
+  ASSERT_LT(6.0, cfg.node_timeout);
+  EXPECT_TRUE(cluster.executors_on_node(victim).empty());
+  cluster.recover_node(victim);
+
+  // One sync period for the supervisor's first pass, then the workers'
+  // start delay.
+  sim.run_until(106.0 + cfg.supervisor_sync_period + cfg.worker_start_delay +
+                0.5);
+  EXPECT_TRUE(
+      cluster.trace_log().of_kind(EventKind::kNodeDeclaredDead).empty());
+  EXPECT_EQ(cluster.coordination().get(id)->version, version);
+  EXPECT_EQ(cluster.executors_on_node(victim).size(), hosted);
+}
+
 TEST(FailureDetection, MasterPartitionCausesFalsePositiveAndHeals) {
   sim::Simulation sim;
   ClusterConfig cfg;
