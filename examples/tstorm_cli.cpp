@@ -16,12 +16,17 @@
 //   --seed=<uint>                               (default 42)
 //   --nodes=<int>                               (default 10)
 //   --csv                                       (series CSV to stdout)
+//
+// Bad input (an unknown flag or value, gamma < 1, nodes < 1) prints the
+// usage and exits 2.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
 
 #include "core/system.h"
 #include "metrics/reporter.h"
+#include "sched/scheduler.h"
 #include "workload/topologies.h"
 
 using namespace tstorm;
@@ -39,6 +44,18 @@ struct Args {
   int nodes = 10;
   bool csv = false;
 };
+
+void print_usage() {
+  std::cerr << "usage: tstorm_cli [--topology=throughput|wordcount|logstream]\n"
+               "                  [--system=storm|tstorm] [--algorithm=NAME]\n"
+               "                  [--gamma=G>=1] [--rate=R] [--duration=S]\n"
+               "                  [--seed=N] [--nodes=N>=1] [--csv]\n"
+               "algorithms:";
+  for (const auto& name : sched::AlgorithmRegistry::instance().names()) {
+    std::cerr << " " << name;
+  }
+  std::cerr << "\n";
+}
 
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
@@ -84,6 +101,19 @@ bool parse(int argc, char** argv, Args& args) {
     std::cerr << "unknown system: " << args.system << "\n";
     return false;
   }
+  const auto names = sched::AlgorithmRegistry::instance().names();
+  if (std::find(names.begin(), names.end(), args.algorithm) == names.end()) {
+    std::cerr << "unknown algorithm: " << args.algorithm << "\n";
+    return false;
+  }
+  if (!(args.gamma >= 1.0)) {
+    std::cerr << "gamma must be at least 1: " << args.gamma << "\n";
+    return false;
+  }
+  if (args.nodes < 1) {
+    std::cerr << "nodes must be at least 1: " << args.nodes << "\n";
+    return false;
+  }
   return true;
 }
 
@@ -91,7 +121,10 @@ bool parse(int argc, char** argv, Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse(argc, argv, args)) return 1;
+  if (!parse(argc, argv, args)) {
+    print_usage();
+    return 2;
+  }
 
   sim::Simulation sim;
   runtime::ClusterConfig cluster_cfg;
