@@ -32,11 +32,8 @@ class Nimbus {
   void schedule_initial(sched::TopologyId topo,
                         sched::ISchedulingAlgorithm& algorithm);
 
-  /// Applies an externally computed placement (T-Storm custom scheduler
-  /// path). Validates slots and structural sanity; returns false and
-  /// changes nothing if `placement` does not cover the topology's tasks.
-  /// Every call records a DecisionRecord (`trigger` says why it ran) —
-  /// unless the version was already recorded by the schedule generator.
+  /// Applies one topology's externally computed placement: the
+  /// single-topology case of apply_placements.
   bool apply_placement(sched::TopologyId topo,
                        const sched::Placement& placement,
                        sched::AssignmentVersion version,
@@ -44,12 +41,18 @@ class Nimbus {
                            obs::DecisionTrigger::kManual);
 
   /// Applies a consistent multi-topology schedule atomically (the T-Storm
-  /// schedule generator reassigns all topologies in one run). Placements
-  /// are validated against each other and against assigned topologies not
-  /// present in the map; all-or-nothing.
+  /// custom scheduler path: the generator reassigns all topologies in one
+  /// run). Each placement must cover its topology's tasks with in-range
+  /// slots; placements are validated against each other and against
+  /// assigned topologies not present in the map, and a version not newer
+  /// than a topology's current one is stale. All-or-nothing: returns false
+  /// and changes nothing on any violation. Every call records a
+  /// DecisionRecord (`trigger` says why it ran) — unless the version was
+  /// already recorded by the schedule generator.
   bool apply_placements(
       const std::map<sched::TopologyId, sched::Placement>& placements,
-      sched::AssignmentVersion version);
+      sched::AssignmentVersion version,
+      obs::DecisionTrigger trigger = obs::DecisionTrigger::kManual);
 
   /// Storm's `rebalance` command: re-runs the initial scheduling algorithm
   /// for one topology, optionally overriding the requested worker count Nu
