@@ -81,44 +81,6 @@ void write_series_csv(std::ostream& os, const std::vector<SeriesColumn>& cols,
   }
 }
 
-void print_flow_gauges(std::ostream& os,
-                       const std::vector<FlowGaugeRow>& rows,
-                       double shed_rate_per_s) {
-  os << std::setw(8) << "task" << std::setw(8) << "node" << std::setw(12)
-     << "queue" << std::setw(12) << "shed" << '\n';
-  std::size_t depth_total = 0;
-  std::uint64_t shed_total = 0;
-  for (const auto& r : rows) {
-    depth_total += r.queue_depth;
-    shed_total += r.shed;
-    if (r.queue_depth == 0 && r.shed == 0) continue;
-    os << std::setw(8) << r.task << std::setw(8) << r.node << std::setw(12)
-       << r.queue_depth << std::setw(12) << r.shed << '\n';
-  }
-  os << std::setw(8) << "total" << std::setw(8) << "-" << std::setw(12)
-     << depth_total << std::setw(12) << shed_total << "  ("
-     << format_ms(shed_rate_per_s) << " shed/s recent)\n";
-}
-
-void print_checkpoint_gauges(std::ostream& os,
-                             const std::vector<CheckpointGaugeRow>& rows) {
-  os << std::setw(10) << "topology" << std::setw(11) << "completed"
-     << std::setw(9) << "aborted" << std::setw(7) << "stale" << std::setw(9)
-     << "last-id" << std::setw(12) << "last-bytes" << std::setw(12)
-     << "last-ms" << std::setw(13) << "interval-s" << std::setw(11)
-     << "target-s" << '\n';
-  for (const auto& r : rows) {
-    os << std::setw(10) << r.topology << std::setw(11) << r.completed
-       << std::setw(9) << r.aborted << std::setw(7) << r.stale_writes
-       << std::setw(9) << r.last_id << std::setw(12) << r.last_bytes
-       << std::setw(12)
-       << format_ms(r.last_duration * 1e3) << std::setw(13)
-       << format_ms(r.mean_interval) << std::setw(11)
-       << format_ms(r.target_interval) << '\n';
-  }
-  if (rows.empty()) os << "  (no topologies registered)\n";
-}
-
 void print_decision_summary(std::ostream& os, const obs::ProvenanceLog& log,
                             std::size_t tail) {
   os << "scheduling decisions: " << log.total_recorded() << " recorded ("

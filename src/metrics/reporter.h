@@ -31,45 +31,6 @@ void write_series_csv(std::ostream& os, const std::vector<SeriesColumn>& cols,
 /// Formats a double with fixed precision, "-" for NaN.
 std::string format_ms(double v, int precision = 2);
 
-/// --- Flow-control gauges. ---
-/// One per-executor row: input-queue depth and tuples shed so far.
-/// Assembled by callers from runtime state (Cluster::flow_gauges()).
-struct FlowGaugeRow {
-  int task = -1;
-  int node = -1;
-  std::size_t queue_depth = 0;
-  std::uint64_t shed = 0;
-};
-
-/// Aligned table of per-executor queue depth and shed counts, with a
-/// totals footer including the recent shed rate (events/s over the shed
-/// window). Rows with zero depth and zero shed are elided.
-void print_flow_gauges(std::ostream& os, const std::vector<FlowGaugeRow>& rows,
-                       double shed_rate_per_s);
-
-/// --- Checkpoint gauges. ---
-/// One per-topology row mirroring state::CheckpointGauges, plus the
-/// configured interval for adherence at a glance. Assembled by
-/// Cluster::checkpoint_gauges().
-struct CheckpointGaugeRow {
-  int topology = -1;
-  std::uint64_t completed = 0;
-  std::uint64_t aborted = 0;
-  /// Snapshot writes rejected from superseded task incarnations.
-  std::uint64_t stale_writes = 0;
-  std::uint64_t last_id = 0;
-  std::uint64_t last_bytes = 0;
-  double last_duration = 0;
-  double mean_interval = 0;
-  double target_interval = 0;
-};
-
-/// Aligned table of per-topology checkpoint progress: completed/aborted
-/// rounds, last snapshot size and barrier-to-durable duration, and mean
-/// completion interval vs the configured one (interval adherence).
-void print_checkpoint_gauges(std::ostream& os,
-                             const std::vector<CheckpointGaugeRow>& rows);
-
 /// --- Observability summaries. ---
 
 /// Scheduling decisions: totals by outcome and trigger, then the most

@@ -662,21 +662,6 @@ void Cluster::note_drop(DropCause cause) {
   recorder_.record_drop(sim_.now());
 }
 
-std::vector<metrics::FlowGaugeRow> Cluster::flow_gauges() const {
-  std::vector<metrics::FlowGaugeRow> rows;
-  for (const auto& instances : router_) {
-    for (Executor* e : instances) {
-      rows.push_back({e->task(), e->node_id(), e->data_queue_depth(),
-                      flow_.shed_for_task(e->task())});
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const metrics::FlowGaugeRow& a, const metrics::FlowGaugeRow& b) {
-              return a.task != b.task ? a.task < b.task : a.node < b.node;
-            });
-  return rows;
-}
-
 void Cluster::inject_barriers(sched::TopologyId topo, std::uint64_t ckpt) {
   for (const auto& info : tasks_) {
     if (info.topology != topo || !info.is_spout()) continue;
@@ -786,19 +771,6 @@ void Cluster::note_state_dedup() {
 double Cluster::dedup_horizon() const {
   return config_.state.dedup_horizon_factor *
          (1.0 + config_.late_ack_grace_factor) * config_.tuple_timeout;
-}
-
-std::vector<metrics::CheckpointGaugeRow> Cluster::checkpoint_gauges() const {
-  std::vector<metrics::CheckpointGaugeRow> rows;
-  if (checkpoints_ == nullptr) return rows;
-  for (int topo : checkpoints_->topologies()) {
-    const state::CheckpointGauges* g = checkpoints_->gauges(topo);
-    if (g == nullptr) continue;
-    rows.push_back({topo, g->completed, g->aborted, g->stale_writes,
-                    g->last_id, g->last_bytes, g->last_duration,
-                    g->mean_interval, config_.state.checkpoint_interval});
-  }
-  return rows;
 }
 
 }  // namespace tstorm::runtime

@@ -12,7 +12,6 @@
 
 #include "flow/flow.h"
 #include "metrics/completion.h"
-#include "metrics/reporter.h"
 #include "net/network.h"
 #include "obs/provenance.h"
 #include "obs/tuple_trace.h"
@@ -238,17 +237,6 @@ class Cluster {
   /// Records a lost message under its cause (internal bookkeeping; exposed
   /// for the executor/worker shutdown paths).
   void note_drop(DropCause cause);
-
-  /// Per-executor flow gauges (data-queue depth + shed count) for every
-  /// registered executor, sorted by task then node (stable output for
-  /// metrics::print_flow_gauges).
-  [[nodiscard]] std::vector<metrics::FlowGaugeRow> flow_gauges() const;
-
-  /// Per-topology checkpoint gauges (completions, aborts, snapshot bytes,
-  /// duration, interval adherence) for metrics::print_checkpoint_gauges.
-  /// Empty when state is disabled.
-  [[nodiscard]] std::vector<metrics::CheckpointGaugeRow> checkpoint_gauges()
-      const;
 
  private:
   /// Checkpoint-coordinator callbacks (wired in the constructor).

@@ -21,7 +21,7 @@
 
 namespace tstorm::state {
 
-/// Per-topology checkpoint gauges (metrics::print_checkpoint_gauges).
+/// Per-topology checkpoint gauges.
 struct CheckpointGauges {
   std::uint64_t completed = 0;
   std::uint64_t aborted = 0;

@@ -68,7 +68,6 @@ std::string format_event(const Event& e) {
 
 void TraceLog::record(Event event) {
   ++total_;
-  if (listener_) listener_(event);
   events_.push_back(std::move(event));
   while (events_.size() > capacity_) events_.pop_front();
 }

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -102,11 +101,6 @@ class TraceLog {
   void dump(std::ostream& os, sim::Time from = 0,
             sim::Time to = 1e18) const;
 
-  /// Optional tap invoked on every record (e.g. live logging).
-  void set_listener(std::function<void(const Event&)> listener) {
-    listener_ = std::move(listener);
-  }
-
   void clear() {
     events_.clear();
     total_ = 0;
@@ -116,7 +110,6 @@ class TraceLog {
   std::size_t capacity_;
   std::deque<Event> events_;
   std::uint64_t total_ = 0;
-  std::function<void(const Event&)> listener_;
 };
 
 }  // namespace tstorm::trace

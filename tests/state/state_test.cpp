@@ -15,7 +15,6 @@
 #include "chaos/auditor.h"
 #include "chaos/fault_plan.h"
 #include "core/system.h"
-#include "metrics/reporter.h"
 #include "runtime/cluster.h"
 #include "runtime/executor.h"
 #include "state/checkpoint.h"
@@ -376,15 +375,13 @@ TEST(StateIntegration, CheckpointsCompleteEndToEnd) {
   EXPECT_GT(cluster.durable_state().writes_landed(), 0u);
   EXPECT_GT(cluster.durable_state().rounds_completed(), 0u);
 
-  // Gauges populated and printable.
-  const auto rows = cluster.checkpoint_gauges();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_GT(rows[0].completed, 0u);
-  EXPECT_GT(rows[0].last_bytes, 0u);
-  EXPECT_GT(rows[0].mean_interval, 0.0);
-  std::ostringstream os;
-  metrics::print_checkpoint_gauges(os, rows);
-  EXPECT_NE(os.str().find("completed"), std::string::npos);
+  // Gauges populated.
+  ASSERT_NE(cluster.checkpoints(), nullptr);
+  const state::CheckpointGauges* g = cluster.checkpoints()->gauges(rig.id);
+  ASSERT_NE(g, nullptr);
+  EXPECT_GT(g->completed, 0u);
+  EXPECT_GT(g->last_bytes, 0u);
+  EXPECT_GT(g->mean_interval, 0.0);
 
   // The stateful word counter is actually accumulating in managed state.
   InvariantAuditor auditor(cluster);

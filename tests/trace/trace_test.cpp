@@ -35,14 +35,6 @@ TEST(TraceLog, RingBufferBounded) {
   EXPECT_DOUBLE_EQ(log.events().front().time, 90.0);
 }
 
-TEST(TraceLog, ListenerTap) {
-  TraceLog log;
-  int called = 0;
-  log.set_listener([&](const Event&) { ++called; });
-  log.record({0, EventKind::kNodeFailed, -1, 4, -1, 0, ""});
-  EXPECT_EQ(called, 1);
-}
-
 TEST(TraceLog, FormatContainsFields) {
   const Event e{42.5, EventKind::kSchedulePublished, 3, -1, -1, 77,
                 "traffic-aware"};
