@@ -45,12 +45,8 @@ void Simulation::heap_push(HeapItem item) {
   heap_[i] = item;
 }
 
-void Simulation::heap_pop_top() {
-  const HeapItem item = heap_.back();
-  heap_.pop_back();
+void Simulation::sift_down(std::size_t i, HeapItem item) {
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
   while (true) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
@@ -66,11 +62,25 @@ void Simulation::heap_pop_top() {
   heap_[i] = item;
 }
 
+void Simulation::heap_pop_top() {
+  const HeapItem item = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, item);
+}
+
+void Simulation::purge_stale() {
+  // In place, so the purge allocates nothing. Every (tkey, seq) is unique,
+  // so the rebuilt heap pops in exactly the order the old one would have.
+  std::erase_if(heap_,
+                [this](const HeapItem& item) { return !is_live(item); });
+  const std::size_t n = heap_.size();
+  if (n < 2) return;
+  for (std::size_t i = (n - 2) / 4 + 1; i-- > 0;) sift_down(i, heap_[i]);
+}
+
 bool Simulation::settle_top() {
   while (!heap_.empty()) {
-    const HeapItem& top = heap_.front();
-    const Slot& s = slots_[top.slot];
-    if (s.armed && s.gen == top.gen) return true;
+    if (is_live(heap_.front())) return true;
     heap_pop_top();  // stale record of a cancelled event
   }
   return false;
@@ -102,6 +112,7 @@ bool Simulation::cancel(EventId id) {
   s.fn.reset();
   release_slot(index);
   --live_;
+  if (heap_.size() > 2 * live_ + kStaleMargin) purge_stale();
   return true;
 }
 

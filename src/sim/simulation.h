@@ -6,11 +6,12 @@
 // sim::InlineFn slots inside a recycled slot map, and the ready queue is a
 // 4-ary binary heap of 24-byte (time-key, seq, slot, gen) records (4-ary:
 // half the depth and contiguous children, so a pop touches far less memory
-// than a binary heap). Cancellation is O(1) — the slot is reclaimed
-// immediately and its heap record is skipped when popped (the record
-// carries the slot generation it was issued for, so a recycled slot never
-// mis-fires a stale record). See docs/MODEL.md, "Engine internals &
-// performance".
+// than a binary heap). Cancellation reclaims the slot immediately and
+// leaves its heap record to be skipped when popped (the record carries the
+// slot generation it was issued for, so a recycled slot never mis-fires a
+// stale record); once stale records outnumber live events by a fixed
+// margin, cancel() purges them and re-heapifies. See docs/MODEL.md,
+// "Engine internals & performance".
 #pragma once
 
 #include <bit>
@@ -81,10 +82,12 @@ class Simulation {
     return schedule_at(now_ + dt, std::forward<F>(fn));
   }
 
-  /// Cancels a pending event in O(1): the callback is destroyed and its
-  /// slot recycled immediately. Returns true if the event existed and had
-  /// not yet run. Cancelling an already-executed, already-cancelled, or
-  /// invalid id is a no-op returning false.
+  /// Cancels a pending event: the callback is destroyed and its slot
+  /// recycled immediately. Amortized O(1): the heap record stays behind
+  /// until it surfaces, or until stale records outnumber live events by
+  /// kStaleMargin and one linear purge drops them all. Returns true if the
+  /// event existed and had not yet run. Cancelling an already-executed,
+  /// already-cancelled, or invalid id is a no-op returning false.
   bool cancel(EventId id);
 
   /// Executes the next pending event. Returns false if none remain or the
@@ -113,12 +116,21 @@ class Simulation {
   /// Number of scheduled events not yet executed or cancelled.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
+  /// Heap records held, live and stale. cancel() keeps it at most
+  /// 2 * pending() + kStaleMargin; steps and schedules move it by one.
+  [[nodiscard]] std::size_t heap_records() const { return heap_.size(); }
+
   /// Pre-sizes the slot map and heap for an expected concurrent event
   /// population, so even the warm-up phase never reallocates.
   void reserve(std::size_t events);
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// cancel() purges stale heap records once the heap holds more than
+  /// 2 * live events + this many. The constant keeps small heaps from
+  /// purging on every cancel; the factor makes a purge's linear cost
+  /// amortize to O(1) per cancel.
+  static constexpr std::size_t kStaleMargin = 256;
 
   /// One schedulable event. While armed, `fn` holds the callback and `gen`
   /// is the generation its EventId was issued with; when free, the slot
@@ -163,8 +175,20 @@ class Simulation {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
 
+  /// True while the record's event is still pending (not executed or
+  /// cancelled since the record was issued).
+  [[nodiscard]] bool is_live(const HeapItem& item) const {
+    const Slot& s = slots_[item.slot];
+    return s.armed && s.gen == item.gen;
+  }
+
   void heap_push(HeapItem item);
+  /// Moves `item` down from the hole at `i` to its place (the subtrees
+  /// below `i` must already be heaps).
+  void sift_down(std::size_t i, HeapItem item);
   void heap_pop_top();
+  /// Drops every stale record and restores the heap order bottom-up.
+  void purge_stale();
   /// Drops cancelled records off the heap top; returns false when empty.
   bool settle_top();
   /// Pops the top (live) record, retires its slot, and moves the callback

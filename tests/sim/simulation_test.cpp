@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -346,6 +348,62 @@ TEST(Simulation, FuzzedScheduleCancelRunIsDeterministic) {
   EXPECT_FALSE(a.first.empty());
   // A different seed should exercise a different trajectory.
   EXPECT_NE(run_once(7).first, a.first);
+}
+
+// Cancel-heavy workload that crosses cancel()'s purge threshold many
+// times. The reference is the list of live events; every step must run the
+// earliest of them by (time, schedule order), and pending() must match it
+// after every cancel and every step.
+TEST(Simulation, CancelHeavyPurgesKeepExecutionOrder) {
+  struct Ref {
+    double t;
+    int tag;  // schedule order
+    EventId id;
+  };
+  Simulation sim;
+  Rng rng(11);
+  std::vector<Ref> live;
+  int ran = -1;
+  int next_tag = 0;
+  int purges = 0;
+  auto step_and_check = [&] {
+    const auto first = std::min_element(
+        live.begin(), live.end(), [](const Ref& a, const Ref& b) {
+          return a.t != b.t ? a.t < b.t : a.tag < b.tag;
+        });
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(ran, first->tag);
+    EXPECT_EQ(sim.now(), first->t);
+    live.erase(first);
+    EXPECT_EQ(sim.pending(), live.size());
+  };
+  for (int round = 0; round < 3000; ++round) {
+    const int burst = static_cast<int>(rng.uniform_int(1, 40));
+    for (int i = 0; i < burst; ++i) {
+      // Half-second grid: many equal times, so schedule order matters.
+      const double t =
+          sim.now() + 0.5 * static_cast<double>(rng.uniform_int(0, 60));
+      const int tag = next_tag++;
+      live.push_back({t, tag, sim.schedule_at(t, [&ran, tag] { ran = tag; })});
+    }
+    const auto keep = static_cast<std::size_t>(rng.uniform_int(150, 250));
+    while (live.size() > keep) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const std::size_t records = sim.heap_records();
+      EXPECT_TRUE(sim.cancel(live[pick].id));
+      if (sim.heap_records() + 1 < records) ++purges;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      EXPECT_EQ(sim.pending(), live.size());
+      EXPECT_LE(sim.heap_records(), 2 * live.size() + 256);
+    }
+    const int steps = static_cast<int>(rng.uniform_int(0, 3));
+    for (int i = 0; i < steps && !live.empty(); ++i) step_and_check();
+  }
+  while (!live.empty()) step_and_check();
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.heap_records(), 0u);
+  EXPECT_GT(purges, 50);
 }
 
 TEST(Simulation, DeterministicAcrossRuns) {
