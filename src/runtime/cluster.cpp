@@ -128,9 +128,6 @@ ClusterConfig validated(ClusterConfig config) {
       config.state.store_read_bandwidth, 1.0, "state.store_read_bandwidth");
   config.state.barrier_cost_mc =
       clamp_min(config.state.barrier_cost_mc, 0.0, "state.barrier_cost_mc");
-  config.state.dedup_horizon_factor =
-      clamp_min(config.state.dedup_horizon_factor, 0.0,
-                "state.dedup_horizon_factor");
   return config;
 }
 
@@ -766,11 +763,6 @@ Cluster::PendingWrite Cluster::take_write(std::uint32_t handle) {
 void Cluster::note_state_dedup() {
   ++state_dedup_suppressed_;
   note_drop(DropCause::kStateDedup);
-}
-
-double Cluster::dedup_horizon() const {
-  return config_.state.dedup_horizon_factor *
-         (1.0 + config_.late_ack_grace_factor) * config_.tuple_timeout;
 }
 
 }  // namespace tstorm::runtime

@@ -140,8 +140,6 @@ class Cluster {
   [[nodiscard]] std::uint64_t state_dedup_suppressed() const {
     return state_dedup_suppressed_;
   }
-  /// Age horizon for dedup sweeps (see StateConfig::dedup_horizon_factor).
-  [[nodiscard]] double dedup_horizon() const;
 
   [[nodiscard]] int num_nodes() const { return config_.num_nodes; }
   [[nodiscard]] WorkerNode& node(sched::NodeId id);

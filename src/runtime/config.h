@@ -133,7 +133,11 @@ struct ObsConfig {
 ///     suppressed through per-task dedup sets (DropCause::kStateDedup)
 ///     while still re-emitting their children (delivery downstream stays
 ///     at-least-once) — together: a tree is acked only once its updates
-///     are durable, and re-applied never.
+///     are durable, and re-applied never;
+///   * a dedup entry is retired once its tree is resolved (acked, or given
+///     up after its last replay) and a round of barriers has passed
+///     behind it, so the sets hold about the trees in flight plus one
+///     round, with no retention knob (docs/MODEL.md, "Replay dedup").
 struct StateConfig {
   bool enabled = false;
 
@@ -161,13 +165,6 @@ struct StateConfig {
 
   /// CPU cost (mega-cycles) of processing one barrier at a bolt.
   double barrier_cost_mc = 0.01;
-
-  /// Dedup entries untouched for longer than
-  ///   dedup_horizon_factor * (1 + late_ack_grace_factor) * tuple_timeout
-  /// are swept at checkpoint time. Duplicates refresh their entry, so the
-  /// horizon only needs to cover the gap between consecutive attempts of
-  /// one tree (timeout + backoff + redelivery), not its whole lifetime.
-  double dedup_horizon_factor = 2.0;
 };
 
 struct ClusterConfig {

@@ -4,6 +4,7 @@
 // network links (acker placement is real traffic the scheduler sees).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "sched/types.h"
@@ -39,12 +40,19 @@ struct Envelope {
   /// kData: deterministic path of this emission within its tuple tree —
   /// identical across replay attempts, the key of the stateful bolts'
   /// dedup sets. kReplay: the tree uid (attempt-0 root id) the re-emission
-  /// must derive its paths from.
+  /// must derive its paths from. kBarrier: the round's retention stamp, a
+  /// sim time in its bit pattern (see stamp()).
   std::uint64_t path = 0;
   /// Tuple tracing: start time of the envelope's current phase (network
   /// hop, then queue wait, then execute); < 0 when the root is not
   /// sampled. Stamped by Cluster::send, advanced by the executor hooks.
   double trace_t0 = -1.0;
+
+  /// kBarrier: every tree its upstream spouts emitted before this time
+  /// was resolved when the barrier left them (TupleTracker::
+  /// oldest_unresolved, the least over the spouts behind the channel).
+  [[nodiscard]] double stamp() const { return std::bit_cast<double>(path); }
+  void set_stamp(double t) { path = std::bit_cast<std::uint64_t>(t); }
 
   /// Approximate wire size.
   [[nodiscard]] std::uint64_t bytes() const {

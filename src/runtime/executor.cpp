@@ -292,7 +292,7 @@ std::uint64_t EmissionHelper::emit_direct(const std::string& consumer,
   return 0;
 }
 
-void EmissionHelper::broadcast_barrier(std::uint64_t ckpt) {
+void EmissionHelper::broadcast_barrier(std::uint64_t ckpt, double stamp) {
   // One barrier per input channel: every consumer task hears from this
   // producer task once per round, on every subscription (direct included —
   // a direct subscriber is still an aligned input channel).
@@ -302,6 +302,7 @@ void EmissionHelper::broadcast_barrier(std::uint64_t ckpt) {
       barrier.kind = MsgKind::kBarrier;
       barrier.root_id = ckpt;
       barrier.dst = target;
+      barrier.set_stamp(stamp);
       self_.send_to(target, std::move(barrier));
     }
   }
@@ -539,6 +540,8 @@ void BoltExecutor::on_barrier(const Envelope& env) {
     aligning_ = 0;
     drain_held();
   }
+  aligning_stamp_ =
+      aligning_ == ckpt ? std::min(aligning_stamp_, env.stamp()) : env.stamp();
   aligning_ = ckpt;
   for (sched::TaskId src : barrier_sources_) {
     const std::uint64_t* s = barrier_seen_.find(src);
@@ -555,14 +558,22 @@ void BoltExecutor::complete_alignment(std::uint64_t ckpt) {
     // together, then tag the deferred acks this round covers. Crash before
     // the write lands -> state and dedup die together, the round aborts,
     // and the un-acked trees replay against the restored store.
-    store_->sweep_dedup(cluster_.sim().now() - cluster_.dedup_horizon());
+    //
+    // The sweep retires entries inserted before the previous round's
+    // stamp: their trees were resolved before that round's barriers left
+    // the spouts, so every tuple of theirs travelled ahead of those
+    // barriers and has been served here. The stamp of this round would do
+    // on FIFO channels; the one round of slack covers a message that a
+    // later barrier overtakes on the wire (docs/MODEL.md, "Replay dedup").
+    store_->sweep_dedup(last_stamp_);
     for (std::size_t i = 0; i < deferred_.size(); ++i) {
       if (deferred_[i].ckpt == 0) deferred_[i].ckpt = ckpt;
     }
     cluster_.state_write(*this, ckpt, store_->snapshot());
   }
+  last_stamp_ = aligning_stamp_;
   // Forward the barrier downstream, then serve the parked epoch.
-  emitter_->broadcast_barrier(ckpt);
+  emitter_->broadcast_barrier(ckpt, aligning_stamp_);
   drain_held();
 }
 
@@ -693,7 +704,8 @@ void SpoutExecutor::process(Envelope& env) {
       // Checkpoint round start: stamp the barrier into every output
       // channel. Pauses do not gate barriers — a throttled spout still
       // checkpoints.
-      emitter_->broadcast_barrier(env.root_id);
+      emitter_->broadcast_barrier(
+          env.root_id, cluster_.tracker().oldest_unresolved(task()));
       break;
     case MsgKind::kAckComplete:
       cluster_.tracker().on_ack_complete(env.root_id);

@@ -172,9 +172,10 @@ class EmissionHelper {
                             const topo::TupleRef& tuple,
                             std::uint64_t root_id, std::uint64_t path = 0);
 
-  /// Sends one kBarrier envelope (root_id = ckpt) to every consumer task
-  /// on every subscription — each input channel sees the barrier once.
-  void broadcast_barrier(std::uint64_t ckpt);
+  /// Sends one kBarrier envelope (root_id = ckpt, carrying `stamp`) to
+  /// every consumer task on every subscription — each input channel sees
+  /// the barrier once.
+  void broadcast_barrier(std::uint64_t ckpt, double stamp);
 
  private:
   struct Out {
@@ -257,6 +258,11 @@ class BoltExecutor final : public Executor, private topo::BoltContext {
   /// Round currently aligning (0 = none) and last round aligned here.
   std::uint64_t aligning_ = 0;
   std::uint64_t last_aligned_ = 0;
+  /// Least stamp among the barriers of the round aligning here (forwarded
+  /// downstream with it), and the stamp of the last round aligned here:
+  /// the next round retires dedup entries inserted before it.
+  double aligning_stamp_ = 0;
+  double last_stamp_ = 0;
   /// Post-barrier data from already-barriered channels, parked until the
   /// round completes or aborts (their service time was already paid).
   sim::RingDeque<Envelope> held_;

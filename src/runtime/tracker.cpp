@@ -34,6 +34,7 @@ void TupleTracker::register_root(std::uint64_t root_id,
         pending_.erase(stale->spout_task);
       }
       --in_flight_;
+      release_tree(stale->uid);
     }
     entries_.erase(root_id);
   }
@@ -43,6 +44,21 @@ void TupleTracker::register_root(std::uint64_t root_id,
   e.tuple = std::move(tuple);
   e.attempt = attempt;
   e.uid = uid != 0 ? uid : root_id;
+  if (cluster_.state_enabled()) {
+    // A replay takes over the open-work unit its pending replay held; any
+    // other registration opens one, and a new tree joins its spout's ring.
+    bool inserted = false;
+    int& open = open_trees_.get_or_insert(e.uid, &inserted);
+    if (inserted) {
+      const auto t = static_cast<std::size_t>(spout_task);
+      if (t >= tree_starts_.size()) tree_starts_.resize(t + 1);
+      // Popping here too bounds the ring of a spout that never sees a
+      // barrier (no stateful bolt downstream).
+      pop_resolved(tree_starts_[t]);
+      tree_starts_[t].push_back({e.emit_time, e.uid});
+    }
+    if (inserted || attempt == 0) ++open;
+  }
   e.epoch = ++next_epoch_;
   const std::uint64_t epoch = e.epoch;
   e.timeout_event = cluster_.sim().schedule_after(
@@ -71,6 +87,7 @@ void TupleTracker::on_ack_complete(std::uint64_t root_id) {
     // not every spout task ever seen.
     if (--pending_[e.spout_task] <= 0) pending_.erase(e.spout_task);
     --in_flight_;
+    release_tree(e.uid);
   }
   entries_.erase(root_id);
   cluster_.tuple_trace().finish_root(root_id, cluster_.sim().now(),
@@ -136,6 +153,7 @@ void TupleTracker::dispatch_replay(sched::TaskId spout_task,
     return;
   }
   ++replays_dropped_;
+  release_tree(uid);
 }
 
 void TupleTracker::on_timeout(std::uint64_t root_id, std::uint64_t epoch) {
@@ -157,8 +175,11 @@ void TupleTracker::on_timeout(std::uint64_t root_id, std::uint64_t epoch) {
     inst->on_root_failed(root_id);
   }
 
+  // The failed attempt's open-work unit passes to its replay, if any.
   const int max_replays = cluster_.config().max_replays;
-  if (max_replays > 0 && e.attempt + 1 <= max_replays && e.tuple) {
+  if (max_replays <= 0 || e.attempt + 1 > max_replays || !e.tuple) {
+    release_tree(e.uid);
+  } else {
     const double delay = backoff_delay(e.attempt + 1);
     if (delay <= 0.0) {
       dispatch_replay(e.spout_task, e.tuple, e.attempt + 1, e.uid);
@@ -190,6 +211,26 @@ void TupleTracker::on_timeout(std::uint64_t root_id, std::uint64_t epoch) {
           entries_.erase(root_id);
         }
       });
+}
+
+void TupleTracker::release_tree(std::uint64_t uid) {
+  int* open = open_trees_.find(uid);
+  if (open != nullptr && --*open <= 0) open_trees_.erase(uid);
+}
+
+void TupleTracker::pop_resolved(sim::RingDeque<TreeStart>& ring) const {
+  while (!ring.empty() && !open_trees_.contains(ring.front().uid)) {
+    ring.pop_front();
+  }
+}
+
+sim::Time TupleTracker::oldest_unresolved(sched::TaskId spout_task) {
+  const auto t = static_cast<std::size_t>(spout_task);
+  if (t < tree_starts_.size()) {
+    pop_resolved(tree_starts_[t]);
+    if (!tree_starts_[t].empty()) return tree_starts_[t].front().time;
+  }
+  return cluster_.sim().now();
 }
 
 int TupleTracker::pending(sched::TaskId spout_task) const {

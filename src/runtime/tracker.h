@@ -3,15 +3,20 @@
 // registers each spout emission, arms the 30 s timeout, records
 // completions/failures into the CompletionRecorder, and requests replays of
 // failed tuples (bounded attempts, exponential backoff with seeded jitter
-// so correlated failures do not produce synchronized replay storms).
+// so correlated failures do not produce synchronized replay storms). In
+// state mode it also knows when each tree (every attempt of one uid) is
+// resolved, which bounds how long the stateful bolts' dedup sets must
+// remember it.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "metrics/completion.h"
 #include "runtime/envelope.h"
 #include "sched/types.h"
 #include "sim/flat_map.h"
+#include "sim/ring_deque.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "topo/tuple.h"
@@ -82,6 +87,19 @@ class TupleTracker {
     return entries_.size();
   }
 
+  /// --- Tree resolution (state mode only). ---
+  /// A tree is resolved once no attempt of it is live and no replay of it
+  /// is pending: it acked, or its last attempt failed with no replay left
+  /// to send. Returns the attempt-0 emit time of the spout task's oldest
+  /// unresolved tree, or now when it has none. Every tree of the task
+  /// emitted before the returned time is resolved; a barrier stamped with
+  /// it bounds which dedup entries downstream tasks may retire.
+  [[nodiscard]] sim::Time oldest_unresolved(sched::TaskId spout_task);
+  /// Trees registered in state mode and not yet resolved (all spouts).
+  [[nodiscard]] std::size_t unresolved_trees() const {
+    return open_trees_.size();
+  }
+
   /// Backoff delay before replaying attempt `attempt` (exposed for tests;
   /// deterministic given the tracker's RNG state).
   [[nodiscard]] double backoff_delay(int attempt) const;
@@ -96,6 +114,10 @@ class TupleTracker {
                        int attempt, std::uint64_t uid, bool record = true);
   /// Delay before a retry/requeue re-dispatch.
   [[nodiscard]] double retry_delay() const;
+  /// Drops one unit of a tree's open work (a live attempt or a pending
+  /// replay); the tree is resolved when none is left. No-op outside state
+  /// mode.
+  void release_tree(std::uint64_t uid);
 
   struct Entry {
     sched::TaskId spout_task = -1;
@@ -122,6 +144,18 @@ class TupleTracker {
   sim::FlatMap<std::uint64_t, Entry, 0> entries_;
   sim::FlatMap<sched::TaskId, int, -1> pending_;
   std::size_t in_flight_ = 0;
+  /// State mode: open work per unresolved tree uid (live attempts plus
+  /// pending replays), and per spout task its trees in registration order
+  /// as (attempt-0 emit time, uid). Registration order is time order, so
+  /// the oldest unresolved tree is the first ring entry still open;
+  /// resolved entries are popped lazily.
+  struct TreeStart {
+    sim::Time time = 0;
+    std::uint64_t uid = 0;
+  };
+  void pop_resolved(sim::RingDeque<TreeStart>& ring) const;
+  sim::FlatMap<std::uint64_t, int, 0> open_trees_;
+  std::vector<sim::RingDeque<TreeStart>> tree_starts_;  // by spout task
   std::uint64_t next_epoch_ = 0;
   std::uint64_t total_registered_ = 0;
   std::uint64_t replays_dropped_ = 0;

@@ -9,7 +9,8 @@
 // The store also owns the runtime-facing half of exactly-once state:
 //   * a dedup set of applied update paths (deterministic lineage ids of
 //     tuple-tree branches) that suppresses re-application of replayed
-//     updates, swept by age at checkpoint time;
+//     updates; the hosting executor sweeps it at each checkpoint round,
+//     retiring the entries of trees that can no longer reach the task;
 //   * value-semantic Snapshots taken at barrier alignment, written to the
 //     simulated durable store, and restored into a fresh executor after
 //     reassignment. State and dedup set snapshot/restore atomically, so
@@ -101,9 +102,11 @@ class StateStore {
   /// --- Exactly-once dedup (runtime-facing). ---
   /// Records that the update with lineage id `path` was applied at `now`.
   /// Returns false — and refreshes the timestamp — when the path was
-  /// already applied (a replayed duplicate to suppress). Refreshing keeps
-  /// an entry alive as long as attempts of its tree keep arriving, so the
-  /// age sweep can never forget a path that might still be replayed.
+  /// already applied (a replayed duplicate to suppress). An entry's time
+  /// is never earlier than its tree's first emission, which is what lets
+  /// the sweep below retire it by a barrier's stamp: once the stamp passes
+  /// the entry's last touch, the tree was resolved before the stamping
+  /// barrier left its spouts, and a refresh only delays that further.
   bool dedup_insert(std::uint64_t path, double now);
   /// Drops dedup entries last touched before `horizon`.
   void sweep_dedup(double horizon);

@@ -154,7 +154,6 @@ ConsistencyRun consistency_run(std::uint64_t seed, bool with_faults,
   cfg.max_replays = 200;
   cfg.state.enabled = true;
   cfg.state.checkpoint_interval = 2.0;
-  cfg.state.dedup_horizon_factor = 3.0;
   core::StormSystem sys(sim, cfg);
   auto& cluster = sys.cluster();
 

@@ -11,6 +11,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/auditor.h"
 #include "chaos/fault_plan.h"
@@ -622,6 +624,178 @@ TEST(StateIntegration, BarrierAlignmentAtTwoInputBolt) {
   }
   InvariantAuditor auditor(cluster);
   EXPECT_TRUE(auditor.check_now().ok()) << auditor.check_now().to_string();
+}
+
+// ------------------------------------------------------ Dedup retirement
+
+/// Stateful counter keyed by seq whose first input blocks the task for
+/// `stall` seconds of I/O, so whatever arrives behind it waits in its queue.
+class StallOnceCountBolt final : public topo::StatefulBolt {
+ public:
+  explicit StallOnceCountBolt(double stall) : stall_(stall) {}
+  void execute(const topo::Tuple& input,
+               topo::BoltContext& /*ctx*/) override {
+    state().increment(topo::Value(input.get_int(0)));
+  }
+  [[nodiscard]] double cpu_cost_mega_cycles(
+      const topo::Tuple& /*input*/) const override {
+    return 0.05;
+  }
+  [[nodiscard]] double io_time_seconds(
+      const topo::Tuple& /*input*/) const override {
+    return std::exchange(stall_, 0.0);
+  }
+
+ private:
+  mutable double stall_;
+};
+
+const state::StateStore& only_store(runtime::Cluster& cluster) {
+  for (runtime::Executor* e : cluster.registered_executors()) {
+    if (e->state_store() != nullptr) return *e->state_store();
+  }
+  ADD_FAILURE() << "no stateful executor";
+  static const state::StateStore empty;
+  return empty;
+}
+
+TEST(DedupRetirement, StaleAttemptKeepsItsEntryAcrossRounds) {
+  // One tree. Attempt 0 stalls at the count task past its timeout; its
+  // replay waits out a backoff longer than the stall. So attempt 0 is
+  // served, applied and acked late; several rounds complete at the task;
+  // only then does attempt 1 arrive. Its entry must still be there: the
+  // tree stays unresolved while a replay is pending, so no barrier stamp
+  // passes it. A rule that took the late ack for resolution would retire
+  // the entry within two rounds and apply the update twice. (Within one
+  // incarnation a later attempt cannot overtake an earlier one: shuffle
+  // routes by lineage path and each executor queue is FIFO, so the stale
+  // duplicate here is the attempt that comes second.)
+  sim::Simulation sim;
+  auto cfg = state_config(9);
+  cfg.failure_detection = false;
+  cfg.tuple_timeout = 2.0;
+  cfg.late_ack_grace_factor = 5.0;
+  cfg.replay_backoff_base = 3.0;
+  cfg.replay_backoff_jitter = 0.0;
+  cfg.max_replays = 3;
+  cfg.state.checkpoint_interval = 0.5;
+  core::StormSystem sys(sim, cfg);
+  auto emitted = std::make_shared<std::int64_t>(0);
+  topo::TopologyBuilder b;
+  b.set_spout("seq",
+              [emitted] { return std::make_unique<SeqSpout>(1, emitted); },
+              1)
+      .output_fields({"seq"})
+      .emit_interval(0.05);
+  b.set_bolt("count",
+             [] { return std::make_unique<StallOnceCountBolt>(3.0); }, 1)
+      .stateful()
+      .fields_grouping("seq", "seq");
+  sys.submit(b.build("stale-attempt", /*num_workers=*/1, /*num_ackers=*/1));
+  auto& cluster = sys.cluster();
+  const auto& tracker = cluster.tracker();
+  const auto rounds = [&] {
+    return cluster.trace_log().count(trace::EventKind::kCheckpointComplete);
+  };
+
+  while (tracker.total_registered() == 0 && sim.now() < 30.0) {
+    sim.run_until(sim.now() + 0.01);
+  }
+  ASSERT_EQ(tracker.total_registered(), 1u);
+  const double emitted_at = sim.now();
+
+  // Attempt 0 served and acked late; attempt 1 not yet emitted.
+  sim.run_until(emitted_at + 4.5);
+  const topo::Value key(std::int64_t{0});
+  ASSERT_NE(only_store(cluster).get(key), nullptr);
+  EXPECT_EQ(only_store(cluster).get(key)->as_int(), 1);
+  EXPECT_EQ(cluster.completion().total_late(), 1u);
+  EXPECT_EQ(tracker.total_registered(), 1u);
+  EXPECT_EQ(tracker.unresolved_trees(), 1u);  // its replay is pending
+  const auto rounds_before_replay = rounds();
+
+  // Attempt 1 lands after those rounds, is suppressed, and acks.
+  sim.run_until(emitted_at + 12.0);
+  EXPECT_EQ(tracker.total_registered(), 2u);
+  EXPECT_GE(rounds_before_replay, 2u);
+  EXPECT_EQ(only_store(cluster).get(key)->as_int(), 1);
+  EXPECT_EQ(cluster.dropped_by(runtime::DropCause::kStateDedup), 1u);
+  EXPECT_EQ(tracker.in_flight(), 0u);
+  // Resolved, and two rounds later retired: the set keeps nothing.
+  EXPECT_EQ(tracker.unresolved_trees(), 0u);
+  EXPECT_GT(rounds(), rounds_before_replay + 2);
+  EXPECT_EQ(only_store(cluster).dedup_size(), 0u);
+  InvariantAuditor auditor(cluster);
+  EXPECT_TRUE(auditor.check_now().ok()) << auditor.check_now().to_string();
+}
+
+/// Sends a data envelope and then a barrier from the source task to the
+/// stateful sink across nodes, stopping another worker on the sender's
+/// node between the two sends when `stop_worker`. True when the barrier
+/// arrived first: the sink aligned before it deferred the data's ack.
+bool barrier_overtakes_data(bool stop_worker) {
+  sim::Simulation sim;
+  runtime::ClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.state.enabled = true;
+  cfg.state.checkpoint_interval = 1e6;  // no coordinator rounds
+  core::StormSystem sys(sim, cfg);
+  auto emitted = std::make_shared<std::int64_t>(0);
+  topo::TopologyBuilder b;
+  b.set_spout("src",
+              [emitted] { return std::make_unique<SeqSpout>(0, emitted); },
+              1)
+      .output_fields({"seq"});
+  b.set_bolt("sink", [] { return std::make_unique<SeqForwardBolt>(); }, 1)
+      .stateful()
+      .shuffle_grouping("src");
+  b.set_bolt("pad",
+             [] {
+               return std::make_unique<SeqSinkBolt>(
+                   std::make_shared<std::set<std::int64_t>>());
+             },
+             1)
+      .shuffle_grouping("src");
+  // Tasks: src 0, sink 1, pad 2, acker 3. Node 0 runs three workers
+  // (src, pad, acker), so it is crowded; the sink is alone on node 1.
+  const auto id = sys.submit_pinned(
+      b.build("probe", /*num_workers=*/4, /*num_ackers=*/1),
+      {{0, 0}, {1, 4}, {2, 1}, {3, 2}});
+  sim.run_until(20.0);
+  auto& cluster = sys.cluster();
+  EXPECT_EQ(cluster.tasks_of_component(id, "sink"),
+            std::vector<sched::TaskId>{1});
+  runtime::Executor* src = cluster.instances_of(0).at(0);
+  runtime::Executor* sink = cluster.instances_of(1).at(0);
+
+  runtime::Envelope data;
+  data.kind = runtime::MsgKind::kData;
+  data.tuple = topo::TupleRef::make(topo::Tuple{std::int64_t{7}});
+  data.root_id = 99;
+  data.xor_val = 1;
+  data.path = 77;
+  cluster.send(*src, 1, std::move(data));
+  if (stop_worker) {
+    EXPECT_TRUE(cluster.kill_worker(0, 1));
+  }
+  runtime::Envelope barrier;
+  barrier.kind = runtime::MsgKind::kBarrier;
+  barrier.root_id = 1;
+  cluster.send(*src, 1, std::move(barrier));
+  sim.run_until(21.0);
+  EXPECT_EQ(sink->deferred_ack_count(), 1u);
+  return sink->deferred_head_round() == 0;
+}
+
+TEST(DedupRetirement, ChannelOrderProbe) {
+  // A barrier sent right after a small data message on one inter-node
+  // channel arrives second while the sender's node is steady, and first
+  // when a worker on that node stops in between: the data message paid
+  // the crowding term of three workers, the barrier that of two. This is
+  // why the retirement sweep keeps one round of slack (docs/MODEL.md,
+  // "Replay dedup").
+  EXPECT_FALSE(barrier_overtakes_data(/*stop_worker=*/false));
+  EXPECT_TRUE(barrier_overtakes_data(/*stop_worker=*/true));
 }
 
 // ----------------------------------------------------------- Determinism
