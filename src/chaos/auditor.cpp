@@ -24,6 +24,26 @@ void violate(AuditReport& report, std::string message) {
   report.violations.push_back(std::move(message));
 }
 
+/// Trace events after which supervisors may still start or stop workers.
+bool changes_control_plane(trace::EventKind kind) {
+  switch (kind) {
+    case trace::EventKind::kTopologySubmitted:
+    case trace::EventKind::kScheduleApplied:
+    case trace::EventKind::kWorkerStarted:
+    case trace::EventKind::kWorkerDraining:
+    case trace::EventKind::kWorkerStopped:
+    case trace::EventKind::kNodeFailed:
+    case trace::EventKind::kNodeRecovered:
+    case trace::EventKind::kTopologyKilled:
+    case trace::EventKind::kNodeDeclaredDead:
+    case trace::EventKind::kNodeDeclaredAlive:
+    case trace::EventKind::kChaosFault:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 void InvariantAuditor::check_conservation(AuditReport& report) const {
@@ -244,6 +264,59 @@ void InvariantAuditor::check_state_consistency(
                           " but is absent from the fault-free reference");
     }
   }
+}
+
+sim::Time InvariantAuditor::liveness_from() const {
+  const auto& events = cluster_.trace_log().events();
+  // A change evicted from the ring is no later than the oldest event kept.
+  sim::Time last = events.empty() ? 0 : events.front().time;
+  for (auto it = events.rbegin(); it != events.rend(); ++it) {
+    if (changes_control_plane(it->kind)) {
+      last = it->time;
+      break;
+    }
+  }
+  const runtime::ClusterConfig& cfg = cluster_.config();
+  return last + cfg.supervisor_sync_period + cfg.worker_start_delay;
+}
+
+AuditReport InvariantAuditor::check_liveness() const {
+  AuditReport report;
+  const sim::Time from = liveness_from();
+  if (cluster_.sim().now() < from) {
+    violate(report, "liveness checked at t=" +
+                        std::to_string(cluster_.sim().now()) +
+                        " before the control plane settled (t=" +
+                        std::to_string(from) + ")");
+    return report;
+  }
+  for (const auto& [topo, record] : cluster_.coordination().all()) {
+    for (const auto& [task, slot] : record.placement) {
+      const sched::NodeId node = cluster_.slot_node(slot);
+      if (!cluster_.node_available(node) ||
+          !cluster_.nimbus().node_believed_alive(node)) {
+        continue;
+      }
+      int running = 0;
+      bool placed = false;
+      for (const runtime::Executor* e : cluster_.instances_of(task)) {
+        if (e->worker().state() != runtime::WorkerState::kRunning) continue;
+        ++running;
+        placed = placed || e->worker().slot() == slot;
+      }
+      if (running != 1 || !placed) {
+        violate(report, "liveness: task " + std::to_string(task) +
+                            " of topology " + std::to_string(topo) +
+                            " is placed on slot " + std::to_string(slot) +
+                            " (node " + std::to_string(node) + ") but has " +
+                            std::to_string(running) +
+                            " running instance(s)" +
+                            (running > 0 && !placed ? ", none at that slot"
+                                                    : ""));
+      }
+    }
+  }
+  return report;
 }
 
 AuditReport InvariantAuditor::check_now() const {

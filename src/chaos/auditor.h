@@ -27,11 +27,16 @@
 //   * Pending-event accounting: only the periodic daemon baseline remains
 //     (supervisor sync/heartbeat loops, detector sweep, executor polls) —
 //     a per-tuple event leak shows up here as an unbounded count.
+//
+// Liveness (holds once the control plane has settled, see
+// check_liveness): every published task runs, once, where it was placed.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
+
+#include "sim/simulation.h"
 
 namespace tstorm::runtime {
 class Cluster;
@@ -75,6 +80,20 @@ class InvariantAuditor {
   /// or double-applied across crash/replay/restore.
   void check_state_consistency(AuditReport& report,
                                const KeyedState& expected) const;
+
+  /// Earliest time check_liveness() applies: one supervisor sync period
+  /// plus the worker start delay after the last control-plane change in
+  /// the trace (a topology submitted, placed or killed; a node failed,
+  /// recovered or declared dead/alive; a worker started, draining or
+  /// stopped; a chaos fault).
+  [[nodiscard]] sim::Time liveness_from() const;
+
+  /// Liveness: every task of every published assignment whose slot is on
+  /// a node that is up and that Nimbus believes alive has exactly one
+  /// instance in a running (not draining) worker, at that slot. Called
+  /// before liveness_from(), it reports that instead of checking. Kept out
+  /// of check_now() and check_quiesced(), which hold at any time.
+  [[nodiscard]] AuditReport check_liveness() const;
 
  private:
   void check_conservation(AuditReport& report) const;

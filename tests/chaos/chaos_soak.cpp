@@ -9,6 +9,7 @@
 // point is breadth of fault interleavings, not per-run scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -91,6 +92,25 @@ SoakOutcome soak_one(std::uint64_t seed) {
   SoakOutcome out;
   // Mid-flight audit with faults settled but traffic still flowing.
   out.report = auditor.check_now();
+
+  // Scripted crash-and-recover inside node_timeout (the random plans'
+  // downtimes all exceed it): Nimbus never declares the node dead, so only
+  // its own supervisor can restart its workers. Once the control plane
+  // settles, every published task must run again, once.
+  auto victim = static_cast<sched::NodeId>(seed % cfg.num_nodes);
+  while (cluster.executors_on_node(victim).empty()) {
+    victim = (victim + 1) % cfg.num_nodes;
+  }
+  FaultPlan().crash_node(262.0, victim, 0.5 * cfg.node_timeout)
+      .inject(cluster);
+  sim.run_until(263.0);
+  const sim::Time cap = sim.now() + 200.0;
+  while (sim.now() < std::min(auditor.liveness_from(), cap)) {
+    sim.run_until(std::min(auditor.liveness_from(), cap));
+  }
+  const AuditReport live = auditor.check_liveness();
+  out.report.violations.insert(out.report.violations.end(),
+                               live.violations.begin(), live.violations.end());
 
   // Quiesce: stop the source, kill the topology, and let the tracker's
   // late-ack grace window fully elapse; then the strict audit must hold.

@@ -4,6 +4,7 @@
 // harness (fault plans, invariant auditor, determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -30,6 +31,18 @@ sched::NodeId node_with_executors(runtime::Cluster& cluster) {
     if (!cluster.executors_on_node(n).empty()) return n;
   }
   return -1;
+}
+
+/// Runs until the control plane has settled (at most two minutes more),
+/// then expects every published task to run once where it was placed.
+void expect_live(sim::Simulation& sim, runtime::Cluster& cluster) {
+  const InvariantAuditor auditor(cluster);
+  const sim::Time cap = sim.now() + 120.0;
+  while (sim.now() < std::min(auditor.liveness_from(), cap)) {
+    sim.run_until(std::min(auditor.liveness_from(), cap));
+  }
+  const AuditReport report = auditor.check_liveness();
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 workload::ThroughputTestOptions small_throughput() {
@@ -73,6 +86,7 @@ TEST(FailureDetection, CrashedNodeIsDeclaredDeadAndRescheduled) {
     EXPECT_NE(cluster.slot_node(slot), victim) << "task " << task;
   }
   EXPECT_TRUE(cluster.executors_on_node(victim).empty());
+  expect_live(sim, cluster);
 }
 
 TEST(FailureDetection, ThroughputRecoversWithoutManualRepair) {
@@ -104,6 +118,7 @@ TEST(FailureDetection, ThroughputRecoversWithoutManualRepair) {
             0.9 * static_cast<double>(pre_fault))
       << "pre-fault window completed " << pre_fault
       << ", post-recovery window completed " << post_fault;
+  expect_live(sim, cluster);
 }
 
 TEST(FailureDetection, RecoveredNodeIsDeclaredAliveAgain) {
@@ -126,6 +141,7 @@ TEST(FailureDetection, RecoveredNodeIsDeclaredAliveAgain) {
       cluster.trace_log().of_kind(EventKind::kNodeDeclaredAlive);
   ASSERT_FALSE(alive.empty());
   EXPECT_EQ(alive.back().node, 4);
+  expect_live(sim, cluster);
 }
 
 TEST(FailureDetection, NodeBackInsideTimeoutRestartsItsWorkers) {
@@ -159,6 +175,7 @@ TEST(FailureDetection, NodeBackInsideTimeoutRestartsItsWorkers) {
       cluster.trace_log().of_kind(EventKind::kNodeDeclaredDead).empty());
   EXPECT_EQ(cluster.coordination().get(id)->version, version);
   EXPECT_EQ(cluster.executors_on_node(victim).size(), hosted);
+  expect_live(sim, cluster);
 }
 
 TEST(FailureDetection, MasterPartitionCausesFalsePositiveAndHeals) {
@@ -183,6 +200,7 @@ TEST(FailureDetection, MasterPartitionCausesFalsePositiveAndHeals) {
   EXPECT_TRUE(cluster.nimbus().node_believed_alive(2));
   EXPECT_GE(cluster.trace_log().count(EventKind::kNodeDeclaredDead), 1u);
   EXPECT_GE(cluster.trace_log().count(EventKind::kNodeDeclaredAlive), 1u);
+  expect_live(sim, cluster);
 }
 
 // ------------------------------------------------------ Network faults ---
