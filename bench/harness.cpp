@@ -18,6 +18,15 @@ double RunResult::mean_ms(double from, double to) const {
   return m.has_value() ? *m : std::nan("");
 }
 
+RunResult RunResult::over(double from) const {
+  RunResult r = *this;
+  const metrics::LatencyHistogram& window = latency_from.at(from);
+  r.steady_from = from;
+  r.p50_ms = window.percentile(50);
+  r.p99_ms = window.percentile(99);
+  return r;
+}
+
 int RunResult::final_nodes() const {
   return nodes.empty() ? 0 : nodes.back().second;
 }
@@ -53,7 +62,8 @@ runtime::Cluster& System::cluster() {
 }
 
 RunResult measure(sim::Simulation& sim, runtime::Cluster& cluster,
-                  std::string label, double steady_from, double duration) {
+                  std::string label, double steady_from, double duration,
+                  const std::vector<double>& also_from) {
   RunResult result;
   result.label = std::move(label);
   result.steady_from = steady_from;
@@ -63,19 +73,25 @@ RunResult measure(sim::Simulation& sim, runtime::Cluster& cluster,
   });
   sampler.start(10.0);
 
-  // The recorder offers no windowed percentiles, and its series must stay
-  // whole-run; so only its histogram restarts when the window opens.
-  sim.run_until(steady_from);
-  const_cast<metrics::LatencyHistogram&>(
-      cluster.completion().latency_histogram())
-      .reset();
-  sim.run_until(duration);
-
+  // The recorder's histogram covers the whole run; a copy taken as each
+  // window opens turns it into the window's by a bin-wise difference.
   const auto& rec = cluster.completion();
+  std::map<double, metrics::LatencyHistogram> opened;
+  opened[steady_from];
+  for (const double from : also_from) opened[from];
+  for (auto& [from, hist] : opened) {
+    sim.run_until(from);
+    hist = rec.latency_histogram();
+  }
+  sim.run_until(duration);
+  for (const auto& [from, hist] : opened) {
+    result.latency_from.emplace(from, rec.latency_histogram().since(hist));
+  }
+
   result.proc_ms = rec.proc_time_ms();
   result.failures = rec.failures();
-  result.p50_ms = rec.latency_histogram().percentile(50);
-  result.p99_ms = rec.latency_histogram().percentile(99);
+  result.p50_ms = result.latency_from.at(steady_from).percentile(50);
+  result.p99_ms = result.latency_from.at(steady_from).percentile(99);
   result.completed = rec.total_completed();
   result.failed = rec.total_failed();
   result.dropped = cluster.dropped_messages();
@@ -94,7 +110,7 @@ RunResult run(const RunSpec& spec) {
   core::EnergyMeter energy(system.cluster());
   energy.start();
   RunResult result = measure(sim, system.cluster(), spec.label,
-                             spec.steady_from, spec.duration);
+                             spec.steady_from, spec.duration, spec.also_from);
   result.kwh = energy.kwh();
   if (core::TStormSystem* tstorm = system.tstorm()) {
     sched::Placement placed;
@@ -172,19 +188,17 @@ void storm_vs_tstorm(const TopologyFn& topology,
     s.make_topology = topology;
     return s;
   };
-  std::map<double, RunResult> storm;  // by steady window
   std::vector<RunResult> tstorm;
+  RunSpec storm = spec("Storm", false, 1.0, panels.front().steady_from);
   for (const Panel& p : panels) {
     std::ostringstream label;
     label << "T-Storm g=" << p.gamma;
     tstorm.push_back(run(spec(label.str(), true, p.gamma, p.steady_from)));
-    const double from = tstorm.back().steady_from;
-    if (!storm.contains(from)) {
-      storm.emplace(from, run(spec("Storm", false, 1.0, from)));
-    }
+    storm.also_from.push_back(tstorm.back().steady_from);
   }
+  const RunResult storm_run = run(storm);
   for (std::size_t i = 0; i < panels.size(); ++i) {
-    const RunResult& base = storm.at(tstorm[i].steady_from);
+    const RunResult base = storm_run.over(tstorm[i].steady_from);
     print_comparison(panels[i].title, {base, tstorm[i]});
     print_node_timeline(tstorm[i]);
     const std::string prefix = std::string(1, static_cast<char>('a' + i)) + ".";

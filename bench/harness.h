@@ -8,6 +8,7 @@
 #include <functional>
 #include <iosfwd>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/system.h"
+#include "metrics/histogram.h"
 #include "metrics/timeseries.h"
 #include "runtime/config.h"
 #include "sched/types.h"
@@ -41,6 +43,9 @@ struct RunSpec {
   /// The summary averages over [steady_from, duration): the paper's
   /// "measurements after stabilization".
   double steady_from = 0;
+  /// Further window starts the run keeps latency percentiles for, so one
+  /// run can serve comparisons over other windows (RunResult::over).
+  std::vector<double> also_from;
   runtime::ClusterConfig cluster;
   core::CoreConfig core;  // used when tstorm == true
 
@@ -73,6 +78,8 @@ struct RunResult {
   /// Latency percentiles over the steady window (ms).
   double p50_ms = 0;
   double p99_ms = 0;
+  /// Latency over [start, duration) for every window start measured.
+  std::map<double, metrics::LatencyHistogram> latency_from;
   /// T-Storm runs: estimated inter-node traffic (tuples/s) of the final
   /// placement on the traffic the generator schedules from, the paper's
   /// objective. NaN under stock Storm.
@@ -85,6 +92,10 @@ struct RunResult {
   [[nodiscard]] double steady_mean_ms() const {
     return mean_ms(steady_from, duration);
   }
+
+  /// This run with its steady window moved to [from, duration); `from`
+  /// must be a window start it measured.
+  [[nodiscard]] RunResult over(double from) const;
 
   /// Node count at the end of the run.
   [[nodiscard]] int final_nodes() const;
@@ -116,9 +127,11 @@ class System {
 
 /// Runs `cluster` to `duration`, sampling node usage every 10 s, and
 /// collects its simulated results. The latency percentiles cover the steady
-/// window, like the mean the summary prints beside them.
+/// window, like the mean the summary prints beside them; `also_from` names
+/// further windows to keep them for.
 RunResult measure(sim::Simulation& sim, runtime::Cluster& cluster,
-                  std::string label, double steady_from, double duration);
+                  std::string label, double steady_from, double duration,
+                  const std::vector<double>& also_from = {});
 
 /// Executes one experiment run.
 RunResult run(const RunSpec& spec);
@@ -149,9 +162,8 @@ struct Panel {
 };
 
 /// Runs and prints every panel on `topology`, each followed by its T-Storm
-/// run's node timeline. Storm runs once per distinct steady window, as a
-/// run's percentiles cover one window. Quick runs last 360 s, with every
-/// window from 240 s.
+/// run's node timeline. Storm runs once, measured over every panel's
+/// steady window. Quick runs last 360 s, with every window from 240 s.
 void storm_vs_tstorm(const TopologyFn& topology,
                      const std::vector<Panel>& panels, bool quick,
                      Report& report);

@@ -42,6 +42,19 @@ double LatencyHistogram::percentile(double p) const {
   return bin_upper_edge(kBins - 1);
 }
 
+LatencyHistogram LatencyHistogram::since(
+    const LatencyHistogram& earlier) const {
+  LatencyHistogram out;
+  for (int b = 0; b < kBins; ++b) {
+    const auto i = static_cast<std::size_t>(b);
+    out.bins_[i] = bins_[i] - earlier.bins_[i];
+    if (out.bins_[i] > 0) out.max_ = std::min(max_, bin_upper_edge(b));
+  }
+  out.count_ = count_ - earlier.count_;
+  out.sum_ = sum_ - earlier.sum_;
+  return out;
+}
+
 void LatencyHistogram::reset() {
   bins_.fill(0);
   count_ = 0;

@@ -28,6 +28,13 @@ class LatencyHistogram {
 
   void reset();
 
+  /// The samples added since `earlier`, a copy of this histogram taken
+  /// before them: the bin-wise difference, so percentiles over a window
+  /// need no second histogram. Its max() is the upper edge of the highest
+  /// bin the window filled (no larger than this histogram's max), as the
+  /// bins do not keep exact values.
+  [[nodiscard]] LatencyHistogram since(const LatencyHistogram& earlier) const;
+
  private:
   static int bin_for(double ms);
   static double bin_upper_edge(int bin);

@@ -268,6 +268,26 @@ TEST(LatencyHistogram, OutOfRangeClamped) {
   EXPECT_GT(h.percentile(100), 9e5);
 }
 
+TEST(LatencyHistogram, SinceMatchesAHistogramOfTheWindowAlone) {
+  LatencyHistogram whole;
+  for (int i = 1; i <= 500; ++i) whole.add(1000.0 / i);  // slow start-up
+  const LatencyHistogram at_window = whole;
+  LatencyHistogram window_only;
+  for (int i = 1; i <= 2000; ++i) {
+    const double ms = 0.5 + 0.01 * (i % 97);
+    whole.add(ms);
+    window_only.add(ms);
+  }
+  const LatencyHistogram window = whole.since(at_window);
+  EXPECT_EQ(window.count(), window_only.count());
+  for (const double p : {1.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_DOUBLE_EQ(window.percentile(p), window_only.percentile(p)) << p;
+  }
+  EXPECT_NEAR(window.mean(), window_only.mean(), 1e-9);
+  EXPECT_GE(window.max(), window_only.max());
+  EXPECT_LE(window.max(), whole.max());
+}
+
 TEST(LatencyHistogram, MeanAndMaxExact) {
   LatencyHistogram h;
   h.add(1.0);
