@@ -55,11 +55,4 @@ LatencyHistogram LatencyHistogram::since(
   return out;
 }
 
-void LatencyHistogram::reset() {
-  bins_.fill(0);
-  count_ = 0;
-  sum_ = 0;
-  max_ = 0;
-}
-
 }  // namespace tstorm::metrics

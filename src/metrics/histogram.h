@@ -26,8 +26,6 @@ class LatencyHistogram {
   }
   [[nodiscard]] double max() const { return max_; }
 
-  void reset();
-
   /// The samples added since `earlier`, a copy of this histogram taken
   /// before them: the bin-wise difference, so percentiles over a window
   /// need no second histogram. Its max() is the upper edge of the highest
